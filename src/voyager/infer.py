@@ -25,10 +25,11 @@ module is the inference-only counterpart:
   :meth:`~InferenceEngine.rollout` continues from it;
 - an optional float32 mode (``dtype=np.float32``) that halves memory
   traffic for throughput-oriented simulation;
-- an optional ``row_exact`` mode that pins every batch-height-sensitive
-  matmul to its batch-width-1 shape, making batched calls bit-identical
-  *per row* to serial calls — the foundation of the serving layer's
-  cross-stream micro-batching (:mod:`voyager.serve`).
+- an optional ``row_exact`` mode that computes every
+  batch-height-sensitive matmul as a stack of batch-width-1 products
+  (one stacked ``np.matmul`` call per product), making batched calls
+  bit-identical *per row* to serial calls — the foundation of the
+  serving layer's cross-stream micro-batching (:mod:`voyager.serve`).
 
 Equivalence guarantee: with ``dtype=np.float64`` (the default) the
 engine shares the model's parameter arrays and performs the same
@@ -61,20 +62,23 @@ from voyager.vocab import OOV_ID
 
 
 def _rowwise_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x @ w`` computed one ``(1, K)`` row at a time.
+    """``x @ w`` with every row its own ``(1, K) @ (K, N)`` product.
 
     BLAS chooses different kernels — and different summation orders —
-    for different batch heights, so a batched ``(B, K) @ (K, N)``
-    product does not reproduce its rows' ``(1, K) @ (K, N)`` results
-    bit for bit.  This loop pins every row to the exact shape a
-    serially driven engine uses, which is what lets the serving
-    layer's cross-stream micro-batching stay bit-identical per stream
-    (``row_exact=True`` mode below).
+    for different batch heights, so a plain ``(B, K) @ (K, N)`` product
+    does not reproduce its rows' ``(1, K) @ (K, N)`` results bit for
+    bit.  Viewing ``x`` as a ``(B, 1, K)`` stack keeps the batch in a
+    single NumPy call while every stacked item keeps the width-1 shape:
+    ``np.matmul`` broadcasts ``w`` and sends each ``(1, K)`` item
+    through the same vector-matrix BLAS call (same strides, same
+    kernel, same summation order) that a serial ``x[i:i+1] @ w``
+    takes.  That is what lets the serving layer's cross-stream
+    micro-batching stay bit-identical per stream (``row_exact=True``
+    mode below).  ``tests/test_infer.py`` pins this form to the
+    row-at-a-time loop over the served shapes, both dtypes and C-,
+    Fortran-order and strided inputs.
     """
-    out = np.empty((x.shape[0], w.shape[1]), dtype=w.dtype)
-    for i in range(x.shape[0]):
-        out[i : i + 1] = x[i : i + 1] @ w
-    return out
+    return np.matmul(x[:, None, :], w)[:, 0]
 
 
 @dataclass
@@ -128,7 +132,7 @@ class InferenceEngine:
     reference and rolled out without disturbing the online stream.
 
     ``row_exact=True`` switches every batch-height-sensitive matmul to
-    the row-at-a-time form (:func:`_rowwise_matmul`): each row of a
+    the stacked width-1 form (:func:`_rowwise_matmul`): each row of a
     batched call then carries bit-identical results to the same row
     driven through a ``row_exact=False`` engine at batch width 1.  All
     other ops in the pipeline — embedding gathers, the attention
@@ -159,14 +163,15 @@ class InferenceEngine:
         self.row_exact = bool(row_exact)
 
     def _mm(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """``(B, K) @ (K, N)`` — row-at-a-time when ``row_exact`` is on.
+        """``(B, K) @ (K, N)`` — stacked width-1 rows when ``row_exact``.
 
-        Single rows take the plain matmul either way: at batch width 1
-        the two forms are the same call.
+        With ``row_exact`` off this is the plain batched BLAS product;
+        with it on, one :func:`_rowwise_matmul` call whose every row is
+        bit-identical to the same row multiplied alone.
         """
-        if not self.row_exact or x.shape[0] == 1:
-            return x @ w
-        return _rowwise_matmul(x, w)
+        if self.row_exact:
+            return _rowwise_matmul(x, w)
+        return x @ w
 
     # ------------------------------------------------------------------
     # features and state construction

@@ -24,9 +24,10 @@ module is that missing layer:
   window-replay rollout for every prediction-eligible request.  Per
   stream the arithmetic is bit-identical to driving a serial
   :class:`~voyager.infer.InferenceEngine`: the server's engine runs in
-  ``row_exact`` mode, which pins every batch-height-sensitive matmul to
-  its batch-width-1 shape (BLAS changes summation order with batch
-  height), and every other op in the pipeline is row-independent.
+  ``row_exact`` mode, which computes every batch-height-sensitive
+  matmul as a stack of batch-width-1 products (BLAS changes summation
+  order with batch height), and every other op in the pipeline is
+  row-independent.
   ``tests/test_serve.py`` pins the equivalence — states, top-k and
   candidates — with hypothesis property tests in float64 and float32.
 - :class:`ServerStats` — request/shed/batch-size-histogram counters and
@@ -494,8 +495,9 @@ class PrefetchServer:
         )
         # Per-class index into the admitted (non-degraded) queue, used
         # to find preemption victims in O(1) amortised.  Entries go
-        # stale when resolved (``done``) or preempted (``degraded``)
-        # and are skipped lazily.
+        # stale when resolved (``done``) or preempted (``degraded``);
+        # ``_shed_victim`` skips them and ``tick`` pops them off each
+        # class's head.
         self._admitted: Dict[str, deque] = {q: deque() for q in QOS_CLASSES}
 
     # ------------------------------------------------------------------
@@ -855,8 +857,10 @@ class PrefetchServer:
                     live[i][1].state = stepped.row(j)
 
             # Phase C: append features in submit order and snapshot the
-            # windows of rollout-eligible requests.
-            rollout_rows: List[np.ndarray] = []
+            # windows of rollout-eligible requests (as lists of row
+            # references; a stream's later request this tick slides its
+            # deque, so the snapshot must be taken here).
+            rollout_windows: List[List[np.ndarray]] = []
             rollout_pcs: List[int] = []
             rollout_seqs: List[int] = []
             for i, (req, session) in enumerate(live):
@@ -891,13 +895,14 @@ class PrefetchServer:
                     sources_by_seq[req.seq] = SOURCE_COLD
                     candidates_by_seq[req.seq] = []
                     continue
-                rollout_rows.append(np.stack(session.feats))
+                rollout_windows.append(list(session.feats))
                 rollout_pcs.append(session.pc_ids[-1])
                 rollout_seqs.append(req.seq)
 
-            # Phase D: one batched rollout + shared decode.
-            if rollout_rows:
-                windows = np.stack(rollout_rows)  # (R, H, 3d)
+            # Phase D: one window gather, one batched rollout, shared
+            # decode.  The gather is a pure copy, so every bit survives.
+            if rollout_windows:
+                windows = np.array(rollout_windows, dtype=feats.dtype)  # (R, H, 3d)
                 pc_last = np.array(rollout_pcs, dtype=np.int64)
                 pages, offsets, valid = self.engine.rollout_window(
                     windows, pc_last, self.config.degree
@@ -935,6 +940,12 @@ class PrefetchServer:
             )
             self.stats.observe_response(response)
             responses.append(response)
+
+        # Drop resolved or preempted entries from the head of each
+        # class index; without overload nothing else would prune it.
+        for queue in self._admitted.values():
+            while queue and (queue[0].done or queue[0].degraded):
+                queue.popleft()
 
         # Soft-cap cleanup: sessions whose eviction was deferred while
         # they had in-flight requests become evictable as those resolve.

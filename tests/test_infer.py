@@ -10,10 +10,11 @@ simulator hot path never touches ``model.forward``.
 import numpy as np
 import pytest
 
-from voyager.infer import InferenceEngine, LSTMState
+from voyager.infer import InferenceEngine, LSTMState, _rowwise_matmul
 from voyager.model import HierarchicalModel, ModelConfig
 from voyager.sim import NeuralPrefetcher, SimConfig, simulate
 from voyager.synthetic import page_cycle_trace
+from voyager.traces import NUM_OFFSETS
 from voyager.train import build_dataset
 from voyager.vocab import OOV_ID
 
@@ -362,6 +363,55 @@ def test_row_exact_is_identity_at_batch_width_one():
     )
     np.testing.assert_array_equal(plain.h, exact.h)
     np.testing.assert_array_equal(plain.c, exact.c)
+
+
+def rowwise_loop(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Reference ``row_exact`` product: one ``(1, K) @ (K, N)`` per row."""
+    out = np.empty((x.shape[0], w.shape[1]), dtype=w.dtype)
+    for i in range(x.shape[0]):
+        out[i : i + 1] = x[i : i + 1] @ w
+    return out
+
+
+#: ``(K, N)`` of every product a serving engine runs, as functions of
+#: ``(embed_dim, hidden_dim, page_vocab)``: the cell's input and
+#: recurrent projections, then the page and offset heads.
+SERVED_PRODUCTS = {
+    "3d->4h": lambda d, h, v: (3 * d, 4 * h),
+    "h->4h": lambda d, h, v: (h, 4 * h),
+    "h->page_vocab": lambda d, h, v: (h, v),
+    "h->offsets": lambda d, h, v: (h, NUM_OFFSETS),
+}
+
+
+@settings(max_examples=200)
+@given(
+    B=st.integers(min_value=2, max_value=128),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    product=st.sampled_from(sorted(SERVED_PRODUCTS)),
+    dims=st.sampled_from([(3, 4, 6), (8, 16, 50), (16, 32, 300)]),
+    layout=st.sampled_from(["C", "F", "strided"]),
+    data_seed=st.integers(min_value=0, max_value=1_000_000),
+)
+def test_stacked_rowwise_matmul_matches_per_row_loop(
+    B, dtype, product, dims, layout, data_seed
+):
+    """The stacked ``row_exact`` product equals the per-row loop bit for
+    bit.  This is a property of the BLAS NumPy links, not of NumPy's
+    API, so it is the tripwire if another BLAS ever breaks it."""
+    K, N = SERVED_PRODUCTS[product](*dims)
+    rng = np.random.default_rng(data_seed)
+    w = rng.standard_normal((K, N)).astype(dtype)
+    if layout == "strided":
+        # A column of a (B, H, K) window tensor, as project_features
+        # multiplies it.
+        x = rng.standard_normal((B, 3, K)).astype(dtype)[:, 1, :]
+    else:
+        x = np.asarray(rng.standard_normal((B, K)).astype(dtype), order=layout)
+    got = _rowwise_matmul(x, w)
+    assert got.dtype == np.dtype(dtype)
+    assert got.shape == (B, N)
+    np.testing.assert_array_equal(got, rowwise_loop(x, w))
 
 
 def test_lstm_state_stack_and_row_round_trip():

@@ -48,7 +48,12 @@ HISTORY = 3
 DEGREE = 2
 
 
-def serving_setup(model_seed: int = 1):
+def serving_setup(
+    model_seed: int = 1,
+    embed_dim: int = 3,
+    hidden_dim: int = 4,
+    history: int = HISTORY,
+):
     """Tiny model + frozen vocabs sized to each other."""
     pc_vocab = Vocab(cap=len(PCS) + 1).fit(PCS)
     page_vocab = Vocab(cap=len(PAGES) + 1).fit(PAGES)
@@ -57,9 +62,9 @@ def serving_setup(model_seed: int = 1):
             pc_vocab_size=pc_vocab.size,
             page_vocab_size=page_vocab.size,
             num_offsets=NUM_OFFSETS,
-            embed_dim=3,
-            hidden_dim=4,
-            history=HISTORY,
+            embed_dim=embed_dim,
+            hidden_dim=hidden_dim,
+            history=history,
             attention_candidates=2,
             seed=model_seed,
         )
@@ -87,9 +92,10 @@ class SerialStream:
         self.pc_vocab = pc_vocab
         self.page_vocab = page_vocab
         self.table = page_id_table(page_vocab)
+        self.history = model.config.history
         self.state = self.engine.init_state(1)
-        self.pc_ids = deque(maxlen=HISTORY)
-        self.feats = deque(maxlen=HISTORY)
+        self.pc_ids = deque(maxlen=self.history)
+        self.feats = deque(maxlen=self.history)
 
     def access(self, access: MemoryAccess):
         pid = np.array([self.pc_vocab.encode(access.pc)], dtype=np.int64)
@@ -99,7 +105,7 @@ class SerialStream:
         self.state = self.engine.step_from_features(self.state, feat)
         self.pc_ids.append(int(pid[0]))
         self.feats.append(feat[0])
-        if len(self.feats) < HISTORY:
+        if len(self.feats) < self.history:
             return []
         pages, offsets, valid = self.engine.rollout_window(
             np.stack(self.feats)[None],
@@ -118,6 +124,37 @@ class SerialStream:
 # ----------------------------------------------------------------------
 # tentpole property: batched == serial, bit for bit, per stream
 # ----------------------------------------------------------------------
+def tick_and_check(server, sids, serial, rng, counts) -> int:
+    """Submit ``counts[i]`` accesses to stream ``i``, tick once, and
+    check every response, LSTM state and top-k against the serial
+    references.  Returns how many responses came from the rollout."""
+    expected = {}
+    for i, sid in enumerate(sids):
+        for _ in range(counts[i]):
+            access = random_access(rng)
+            seq = server.submit(sid, access.pc, access.address)
+            expected[seq] = (i, serial[i].access(access))
+    responses = server.tick()
+    assert sorted(r.seq for r in responses) == sorted(expected)
+    for response in responses:
+        i, ref_candidates = expected[response.seq]
+        assert response.stream_id == sids[i]
+        if response.source == SOURCE_NEURAL:
+            assert response.candidates == ref_candidates
+        else:
+            assert response.source == SOURCE_COLD
+            assert ref_candidates == []
+    for i, sid in enumerate(sids):
+        state = server.session_state(sid)
+        np.testing.assert_array_equal(state.h, serial[i].state.h)
+        np.testing.assert_array_equal(state.c, serial[i].state.c)
+        pages, offsets = server.topk(sid, 3)
+        ref_pages, ref_offsets = serial[i].topk(3)
+        np.testing.assert_array_equal(pages, ref_pages)
+        np.testing.assert_array_equal(offsets, ref_offsets)
+    return sum(r.source == SOURCE_NEURAL for r in responses)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @settings(max_examples=12)
 @given(
@@ -147,32 +184,48 @@ def test_interleaved_streams_match_independent_engines(
     ]
     rng = np.random.default_rng(data_seed)
     for _ in range(rounds):
-        expected = {}
-        for i, sid in enumerate(sids):
-            # 1-2 accesses per stream per tick exercises the wave
-            # decomposition, not just single-wave batching.
-            for _ in range(int(rng.integers(1, 3))):
-                access = random_access(rng)
-                seq = server.submit(sid, access.pc, access.address)
-                expected[seq] = (i, serial[i].access(access))
-        responses = server.tick()
-        assert sorted(r.seq for r in responses) == sorted(expected)
-        for response in responses:
-            i, ref_candidates = expected[response.seq]
-            assert response.stream_id == sids[i]
-            if response.source == SOURCE_NEURAL:
-                assert response.candidates == ref_candidates
-            else:
-                assert response.source == SOURCE_COLD
-                assert ref_candidates == []
-        for i, sid in enumerate(sids):
-            state = server.session_state(sid)
-            np.testing.assert_array_equal(state.h, serial[i].state.h)
-            np.testing.assert_array_equal(state.c, serial[i].state.c)
-            pages, offsets = server.topk(sid, 3)
-            ref_pages, ref_offsets = serial[i].topk(3)
-            np.testing.assert_array_equal(pages, ref_pages)
-            np.testing.assert_array_equal(offsets, ref_offsets)
+        # 1-2 accesses per stream per tick exercises the wave
+        # decomposition, not just single-wave batching.
+        counts = rng.integers(1, 3, size=n_streams)
+        tick_and_check(server, sids, serial, rng, counts)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sixty_four_streams_match_independent_engines(dtype):
+    """Batched == serial at the batch height of a loaded server: 64
+    streams on a model with the bench's serving dimensions (embed 16,
+    hidden 32, history 8), so every batched product runs 64 rows high
+    (up to 80 when some streams send two accesses in one tick)."""
+    model, pc_vocab, page_vocab = serving_setup(
+        5, embed_dim=16, hidden_dim=32, history=8
+    )
+    n_streams = 64
+    server = PrefetchServer(
+        model,
+        pc_vocab,
+        page_vocab,
+        ServeConfig(
+            degree=DEGREE, max_sessions=n_streams, max_batch=2 * n_streams
+        ),
+        dtype=dtype,
+    )
+    sids = [server.open_stream() for _ in range(n_streams)]
+    serial = [
+        SerialStream(model, pc_vocab, page_vocab, dtype)
+        for _ in range(n_streams)
+    ]
+    rng = np.random.default_rng(64)
+    neural = 0
+    for round_no in range(10):
+        # Every fourth round a quarter of the streams send two
+        # accesses, so the tick also runs a second wave.
+        counts = [
+            2 if round_no % 4 == 3 and i % 4 == 0 else 1
+            for i in range(n_streams)
+        ]
+        neural += tick_and_check(server, sids, serial, rng, counts)
+    # Every stream is warm (8 accesses) for the last three rounds.
+    assert neural >= 3 * n_streams
 
 
 def test_server_is_deterministic_across_instances():
@@ -760,6 +813,42 @@ def test_qos_priority_batch_admission_over_max_batch():
     assert sorted(r.seq for r in first) == sorted([lat_seq, seqs[0]])
     rest = server.tick()
     assert [r.seq for r in rest] == seqs[1:]
+
+
+def admitted_index_size(server) -> int:
+    return sum(len(queue) for queue in server._admitted.values())
+
+
+def test_admitted_index_stays_bounded_without_overload():
+    """The per-class admitted index is pruned as requests resolve, not
+    only when overload looks for a victim: over a long run that never
+    sheds, it holds no more entries than are pending."""
+    model, pc_vocab, page_vocab = serving_setup()
+    server = PrefetchServer(
+        model, pc_vocab, page_vocab,
+        ServeConfig(max_batch=8, max_pending=256),
+    )
+    sids = [
+        server.open_stream(f"s{i}", qos=QOS_CLASSES[i % len(QOS_CLASSES)])
+        for i in range(6)
+    ]
+    rng = np.random.default_rng(36)
+    requests = 0
+    for _ in range(300):
+        # 0-11 arrivals against 8 per tick: the backlog sometimes
+        # carries over to the next tick, and drains again.
+        for _ in range(int(rng.integers(0, 12))):
+            sid = sids[int(rng.integers(0, len(sids)))]
+            access = random_access(rng)
+            server.submit(sid, access.pc, access.address)
+            requests += 1
+        server.tick()
+        assert admitted_index_size(server) <= server.pending
+    while server.pending:
+        server.tick()
+    assert server.stats.shed == 0
+    assert requests > 1000
+    assert admitted_index_size(server) == 0
 
 
 # ----------------------------------------------------------------------
