@@ -53,7 +53,6 @@ from voyager.sim import (
     ArrayCache,
     CacheConfig,
     NeuralPrefetcher,
-    SetAssociativeCache,
     SimConfig,
     SimResult,
     simulate,
@@ -96,7 +95,6 @@ __all__ = [
     "PrefetchServer",
     "ServeConfig",
     "ServerStats",
-    "SetAssociativeCache",
     "SimConfig",
     "SimResult",
     "StridePrefetcher",

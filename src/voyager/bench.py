@@ -333,8 +333,8 @@ def bench_cell(
         entry["table_hit_rate"] = prefetcher.hit_rate
     if kind == "stride":
         # Latched by StridePrefetcher.offline_candidates when the trace
-        # overflows the table and the sim fell back to streaming mode —
-        # recorded so the perf cliff is visible in the report.
+        # overflows the table and the sim fell back to per-access
+        # update/prefetch calls — recorded so the perf cliff is visible.
         entry["stride_fallback"] = bool(getattr(prefetcher, "fallback", False))
     return entry
 

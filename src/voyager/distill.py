@@ -18,12 +18,12 @@ analogue of that compilation pass:
 - :class:`TablePrefetcher` adapts a table to the simulator protocol
   with a configurable fallback chain: exact (deepest) context hit ->
   coarser-context hit -> stride / next-line fallback -> nothing.  Its
-  ``offline_candidates`` hook makes :func:`voyager.sim.simulate` take
-  the kernel fast path, where a "prediction" is a dict probe instead
-  of ``history`` LSTM steps per lookahead step.
+  ``offline_candidates`` hook hands :func:`voyager.sim.simulate` the
+  whole per-position candidate table, where a "prediction" is a dict
+  probe instead of ``history`` LSTM steps per lookahead step.
 
 Unlike every prior fast path in this repo (the inference engine, the
-kernel simulator, the serving layer — all bit-exact), distillation is
+array-backed simulator, the serving layer — all bit-exact), distillation is
 an **approximation**: a coarse context can collapse windows that the
 LSTM distinguishes, so the table answers with the *modal* rollout of
 the collapsed windows.  Two properties are still exact, and the test
@@ -325,9 +325,9 @@ def build_table(
 
     One batched inference pass computes the model's ``top_k``-step
     candidate blocks for every trace position (exactly the arithmetic
-    :meth:`voyager.sim.NeuralPrefetcher.prime` runs for the matching
-    inference mode), then each position's candidate list is recorded
-    under its context key at every configured depth.  ``inference``
+    :meth:`voyager.sim.NeuralPrefetcher.offline_candidates` runs for the
+    matching inference mode), then each position's candidate list is
+    recorded under its context key at every configured depth.  ``inference``
     selects the pass: ``"window"`` (default) replays zero-state
     ``history``-access windows via
     :meth:`~voyager.infer.InferenceEngine.rollout_window` — the right
@@ -429,13 +429,13 @@ class TablePrefetcher:
     deepest-first dict probe with the configured terminal fallback —
     no model arithmetic anywhere, which is the entire point.
 
-    ``offline_candidates`` replays a fresh clone through the identical
-    update-then-prefetch protocol so :func:`voyager.sim.simulate` can
-    take the kernel fast path; per-position work is a few dict probes,
-    orders of magnitude cheaper than the neural prefetcher's batched
-    rollout.  ``stats`` counts hits per depth, fallback answers and
-    cold/short-context answers so bench cells can report the table hit
-    rate next to the coverage it buys.
+    ``offline_candidates`` computes the same update-then-prefetch rows
+    for a whole trace from flat encoded arrays, so
+    :func:`voyager.sim.simulate` skips the per-access protocol calls;
+    per-position work is a few dict probes, orders of magnitude cheaper
+    than the neural prefetcher's batched rollout.  ``stats`` counts hits
+    per depth, fallback answers and cold/short-context answers so bench
+    cells can report the table hit rate next to the coverage it buys.
     """
 
     name = "table"
@@ -494,20 +494,23 @@ class TablePrefetcher:
 
     def offline_candidates(
         self, trace: Sequence[MemoryAccess], degree: int, distance: int
-    ) -> List[List[int]]:
-        """Per-position issue windows for the kernel path.
+    ) -> Optional[List[List[int]]]:
+        """Per-position issue windows for :func:`~voyager.sim.simulate`.
 
-        Replays the exact streaming protocol — row ``t`` is
-        ``prefetch(trace[t], degree + distance)[distance:]`` after
-        ``update(trace[t])`` — but over whole-trace encoded arrays: the
-        vocab encode happens once, each position's context keys are
-        slices of one flat ``(pc, page, offset)`` list, and stride
-        fallback rows come from the baseline's own vectorised
-        ``offline_candidates`` (``-1`` rows are kernel-skipped, the
-        moral equivalent of streaming's empty list).  Lookup stats are
+        Row ``t`` is ``prefetch(trace[t], degree + distance)[distance:]``
+        after ``update(trace[t])``, computed over whole-trace encoded
+        arrays: the vocab encode happens once, each position's context
+        keys are slices of one flat ``(pc, page, offset)`` list, and
+        stride fallback rows come from the baseline's own vectorised
+        ``offline_candidates`` (``-1`` rows are skipped by the
+        simulator, like ``prefetch``'s empty list).  Lookup stats are
         folded into this instance so bench cells still see the hit
-        rate; counters stay bit-identical to the streaming path, which
-        the tests pin.
+        rate; counters stay bit-identical to per-access protocol calls,
+        which the tests pin.
+
+        Returns ``None`` when the stride fallback declines the trace
+        (more PCs than its table holds); the simulator then calls
+        ``update``/``prefetch`` on this instance per access.
         """
         n = len(trace)
         want = degree + distance
@@ -521,17 +524,7 @@ class TablePrefetcher:
                 trace, degree, distance
             )
             if stride_rows is None:
-                # Stride's vectorised recurrence declined (table
-                # overflow); replay the slow streaming protocol so
-                # eviction effects stay bit-exact.
-                clone = TablePrefetcher(self.table)
-                out = []
-                for access in trace:
-                    clone.update(access)
-                    out.append(clone.prefetch(access, want)[distance:want])
-                for source, count in clone.stats.items():
-                    self.stats[source] = self.stats.get(source, 0) + count
-                return out
+                return None  # stride table overflow: evictions matter
 
         flat: List[int] = [0] * (3 * n)
         flat[0::3] = self.table.pc_vocab.encode_all(a.pc for a in trace)

@@ -94,8 +94,8 @@ def simulate_model(
     is measured as coverage (misses eliminated), accuracy (useful per
     issued prefetch) and timeliness — not argmax token accuracy.
 
-    The prefetcher runs on the cache-free inference engine and is
-    primed (batched over the whole trace) by :func:`~voyager.sim.simulate`.
+    The prefetcher runs on the cache-free inference engine, batched
+    over the whole trace by its ``offline_candidates`` hook.
     ``dtype=np.float32`` opts into the faster approximate mode; the
     float64 default is bit-identical to the training-mode forward.
     ``inference`` must match the model's training mode: ``"window"``

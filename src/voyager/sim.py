@@ -3,12 +3,13 @@
 The paper evaluates Voyager not on argmax accuracy but on what a
 prefetcher *does* to a cache.  This module provides the machinery:
 
-- :class:`SetAssociativeCache` — a deterministic set-associative LRU
-  cache over cache-block addresses;
+- :class:`ArrayCache` — a deterministic set-associative LRU cache over
+  cache-block addresses, held in dense NumPy planes;
 - the ``Prefetcher`` protocol — ``update(access)`` observes a demand
   access, then ``prefetch(access, degree)`` returns up to ``degree``
   candidate block addresses (both baselines in
-  :mod:`voyager.baselines` and :class:`NeuralPrefetcher` implement it);
+  :mod:`voyager.baselines`, :class:`NeuralPrefetcher` and
+  :class:`voyager.distill.TablePrefetcher` implement it);
 - :func:`simulate` — replays a trace through a demand cache with a
   bounded in-flight prefetch queue and a fixed fill latency, and
   reports coverage / accuracy / timeliness plus miss rates with and
@@ -35,20 +36,20 @@ Accounting rules (documented here because they define the metrics):
   issue and never count as issued.  When the in-flight queue is full,
   further candidates are dropped (counted in ``dropped_prefetches``).
 
-Two execution paths share these semantics bit for bit:
+There is one replay loop, fed by a per-position candidate table that is
+computed before the replay starts.  A prefetcher sees only the access
+stream, never cache state, so its candidates can always be collected
+ahead of time.  The table comes from one of two sources:
 
-- the *streaming* path replays :class:`~voyager.traces.MemoryAccess`
-  objects through :class:`SetAssociativeCache` and calls
-  ``update``/``prefetch`` per access — the reference implementation and
-  the only option for prefetchers whose predictions depend on cache
-  state;
-- the *kernel* path (default whenever the prefetcher supports it)
-  precomputes the trace's block-id array and the full per-position
-  candidate table offline (vectorised for the table baselines, batched
-  through the inference engine for the neural model), then drives an
-  :class:`ArrayCache`-backed cache/issue-queue loop on plain ints.
-  ``simulate(..., use_kernel=False)`` forces the streaming path;
-  the equivalence tests pin identical counters from both.
+- the prefetcher's ``offline_candidates(trace, degree, distance)`` hook,
+  when it has one and accepts the trace (vectorised for the baselines,
+  one batched inference-engine rollout for the neural model, flat dict
+  probes for the distilled tables);
+- otherwise, one ``update`` and one ``prefetch`` call per access.
+
+An independent OrderedDict-based simulator that calls the protocol per
+access during the replay lives in the test suite as the oracle these
+counters are pinned to.
 """
 
 from __future__ import annotations
@@ -69,9 +70,15 @@ from voyager.vocab import Vocab
 class Prefetcher(Protocol):
     """What :func:`simulate` needs from a prefetcher.
 
-    The simulator calls ``update`` with each demand access *before*
-    asking ``prefetch`` for candidates, so implementations may use the
-    current access when predicting.
+    For each demand access, in trace order, ``update`` sees the access
+    *before* ``prefetch`` is asked for candidates, so implementations
+    may use the current access when predicting.  Neither call sees the
+    cache, so :func:`simulate` makes all of them before its replay
+    loop.  A prefetcher may also offer
+    ``offline_candidates(trace, degree, distance)``, returning for each
+    position ``t`` what ``prefetch(trace[t], degree + distance)
+    [distance:]`` would return after ``update(trace[t])``, or ``None``
+    to decline the trace.
     """
 
     name: str
@@ -102,68 +109,8 @@ class CacheConfig:
         return self.num_sets * self.ways
 
 
-@dataclass
-class CacheLine:
-    """Residency metadata for one cached block."""
-
-    prefetched: bool = False
-    demanded: bool = False  # a demand access has touched this line
-
-
-class SetAssociativeCache:
-    """Set-associative cache with true-LRU replacement over block addresses.
-
-    Each set is an :class:`~collections.OrderedDict` from block address
-    to :class:`CacheLine`; iteration order is LRU -> MRU.
-    """
-
-    def __init__(self, config: Optional[CacheConfig] = None):
-        self.config = config or CacheConfig()
-        self._sets: List["OrderedDict[int, CacheLine]"] = [
-            OrderedDict() for _ in range(self.config.num_sets)
-        ]
-
-    def _set_for(self, block: int) -> "OrderedDict[int, CacheLine]":
-        return self._sets[block % self.config.num_sets]
-
-    def contains(self, block: int) -> bool:
-        """Residency probe without touching LRU state."""
-        return block in self._set_for(block)
-
-    def lookup(self, block: int) -> Optional[CacheLine]:
-        """Demand lookup: returns the line (promoted to MRU) or ``None``."""
-        lines = self._set_for(block)
-        line = lines.get(block)
-        if line is not None:
-            lines.move_to_end(block)
-        return line
-
-    def fill(self, block: int, prefetched: bool = False) -> Optional[Tuple[int, CacheLine]]:
-        """Insert ``block`` as MRU, evicting LRU if the set is full.
-
-        Returns the ``(block, line)`` evicted, or ``None``.  Filling a
-        resident block just promotes it.
-        """
-        lines = self._set_for(block)
-        if block in lines:
-            lines.move_to_end(block)
-            return None
-        evicted = None
-        if len(lines) >= self.config.ways:
-            evicted = lines.popitem(last=False)
-        lines[block] = CacheLine(prefetched=prefetched, demanded=not prefetched)
-        return evicted
-
-    def resident_blocks(self) -> List[int]:
-        """All resident blocks (test/debug helper), set by set, LRU->MRU."""
-        out: List[int] = []
-        for lines in self._sets:
-            out.extend(lines.keys())
-        return out
-
-
 class ArrayCache:
-    """Array-backed set-associative LRU cache: the kernel counterpart.
+    """Array-backed set-associative cache with true-LRU replacement.
 
     Canonical state lives in dense NumPy arrays — a ``(num_sets, ways)``
     int64 block plane (``-1`` marks an empty way), a monotonic LRU stamp
@@ -173,15 +120,14 @@ class ArrayCache:
     arrays to make residency probes O(1); it never holds state of its
     own.
 
-    Replacement semantics are exactly those of
-    :class:`SetAssociativeCache`: ``lookup`` and ``fill`` promote the
+    ``lookup`` and ``fill`` promote the
     touched block to MRU (a fresh stamp), ``contains`` never touches LRU
     state, and the eviction victim is the smallest stamp in the set —
     empty ways carry stamp ``-1`` so they are always consumed before any
     resident line is evicted.  Stamps are unique (one global monotonic
     clock per cache), so victim choice is deterministic and the
-    hypothesis property suite pins this class against the
-    :class:`~collections.OrderedDict` reference model op for op.
+    hypothesis property suite pins this class against an
+    :class:`~collections.OrderedDict` reference cache op for op.
     """
 
     def __init__(self, config: Optional[CacheConfig] = None):
@@ -256,9 +202,8 @@ class ArrayCache:
     def resident_blocks(self) -> List[int]:
         """All resident blocks, set by set, LRU->MRU (stamp order).
 
-        Matches :meth:`SetAssociativeCache.resident_blocks` exactly,
-        which is what lets the property tests compare full LRU ordering
-        and not just residency membership.
+        The full LRU order, not just residency membership, is what the
+        property tests compare against the reference cache.
         """
         out: List[int] = []
         for s in range(self.config.num_sets):
@@ -318,8 +263,8 @@ class SimResult:
     dropped_prefetches: int  # queue full at issue time
     evicted_unused_prefetches: int  # cache pollution
     #: per-phase wall-clock seconds (``simulate(..., profile=True)`` only):
-    #: ``encode_s`` (trace -> block-id array), ``candidates_s`` (offline
-    #: candidate generation / priming), ``cache_loop_s`` (replay loop).
+    #: ``encode_s`` (trace -> block-id array), ``candidates_s`` (the
+    #: per-position candidate table), ``cache_loop_s`` (replay loop).
     phases: Optional[Dict[str, float]] = None
 
     @property
@@ -382,7 +327,7 @@ def simulate(
     prefetcher: Optional[Prefetcher],
     config: Optional[SimConfig] = None,
     *,
-    use_kernel: Optional[bool] = None,
+    use_kernel: bool = False,
     profile: bool = False,
 ) -> SimResult:
     """Replay ``trace`` through the cache with ``prefetcher`` driving fills.
@@ -392,162 +337,17 @@ def simulate(
     degree-0 invariant the tests pin.  The no-prefetch baseline cache
     is replayed in the same pass, so one call yields both miss rates.
 
-    ``use_kernel`` selects the execution path: ``None`` (default) takes
-    the kernel fast path whenever the prefetcher supports offline
-    candidate generation (falling back to streaming otherwise),
-    ``False`` forces the streaming reference path, ``True`` requires
-    the kernel and raises :class:`ValueError` if the prefetcher cannot
-    provide offline candidates for this trace.  Both paths produce
-    bit-identical counters.  ``profile=True`` attaches per-phase
-    wall-clock timings to :attr:`SimResult.phases`.
+    Candidates are computed for the whole trace before the replay (see
+    the module docstring for their two sources).  ``use_kernel=True``
+    demands the prefetcher's own ``offline_candidates`` and raises
+    :class:`ValueError` when it has no such hook or declines the trace.
+    ``profile=True`` attaches per-phase wall-clock timings
+    (``encode_s``, ``candidates_s``, ``cache_loop_s``) to
+    :attr:`SimResult.phases`.
     """
     config = config or SimConfig()
     phases: Optional[Dict[str, float]] = {} if profile else None
 
-    candidates: Optional[List[List[int]]] = None
-    kernel_ok = prefetcher is None or config.degree == 0
-    if not kernel_ok and use_kernel is not False:
-        offline = getattr(prefetcher, "offline_candidates", None)
-        if offline is not None:
-            t0 = time.perf_counter()
-            candidates = offline(trace, config.degree, config.distance)
-            if phases is not None:
-                phases["candidates_s"] = time.perf_counter() - t0
-            kernel_ok = candidates is not None
-
-    if use_kernel is True and not kernel_ok:
-        raise ValueError(
-            "use_kernel=True but the prefetcher cannot provide offline "
-            "candidates for this trace (no offline_candidates hook, or "
-            "it declined); use use_kernel=None to allow the streaming "
-            "fallback"
-        )
-    if use_kernel is False or not kernel_ok:
-        return _simulate_streaming(trace, prefetcher, config, phases)
-    return _run_kernel(trace, prefetcher, config, candidates, phases)
-
-
-def _simulate_streaming(
-    trace: Sequence[MemoryAccess],
-    prefetcher: Optional[Prefetcher],
-    config: SimConfig,
-    phases: Optional[Dict[str, float]],
-) -> SimResult:
-    """Reference path: per-access ``update``/``prefetch`` calls against
-    :class:`SetAssociativeCache` — the only option for prefetchers whose
-    predictions depend on cache state."""
-    cache = SetAssociativeCache(config.cache)
-    baseline_cache = SetAssociativeCache(config.cache)
-
-    # Offline fast path: a prefetcher whose predictions depend only on
-    # the access stream (not on cache state) may precompute them for
-    # the whole trace in one batched pass.  The hook is optional — the
-    # baselines stay streaming — and changes no simulation semantics.
-    if prefetcher is not None and config.degree > 0:
-        prime = getattr(prefetcher, "prime", None)
-        if prime is not None:
-            t0 = time.perf_counter()
-            prime(trace, config.degree + config.distance)
-            if phases is not None:
-                phases["candidates_s"] = (
-                    phases.get("candidates_s", 0.0) + time.perf_counter() - t0
-                )
-
-    in_flight: "OrderedDict[int, int]" = OrderedDict()  # block -> arrival time
-    arrivals: deque = deque()  # (arrival_time, block) in issue order
-
-    misses = 0
-    baseline_misses = 0
-    issued = 0
-    timely = 0
-    late = 0
-    dropped = 0
-    evicted_unused = 0
-
-    t0 = time.perf_counter()
-    for t, access in enumerate(trace):
-        block = access.block
-
-        # 1. land prefetches whose latency has elapsed.
-        while arrivals and arrivals[0][0] <= t:
-            _, arrived = arrivals.popleft()
-            if in_flight.pop(arrived, None) is None:
-                continue  # consumed early by a late demand miss
-            evicted = cache.fill(arrived, prefetched=True)
-            if evicted is not None and evicted[1].prefetched and not evicted[1].demanded:
-                evicted_unused += 1
-
-        # 2. demand access against both caches.
-        if baseline_cache.lookup(block) is None:
-            baseline_misses += 1
-            baseline_cache.fill(block)
-
-        line = cache.lookup(block)
-        if line is not None:
-            if line.prefetched and not line.demanded:
-                timely += 1
-            line.demanded = True
-        else:
-            misses += 1
-            if block in in_flight:
-                # Correct prediction, but the fill is still in flight:
-                # the demand turns it into an ordinary (late) miss fill.
-                late += 1
-                del in_flight[block]
-            evicted = cache.fill(block)
-            if evicted is not None and evicted[1].prefetched and not evicted[1].demanded:
-                evicted_unused += 1
-
-        # 3. observe, then issue new prefetches.
-        if prefetcher is not None and config.degree > 0:
-            prefetcher.update(access)
-            want = config.degree + config.distance
-            candidates = prefetcher.prefetch(access, want)
-            for cand in candidates[config.distance : want]:
-                if cand < 0 or cand in in_flight or cache.contains(cand):
-                    continue
-                if len(in_flight) >= config.queue_capacity:
-                    dropped += 1
-                    continue
-                in_flight[cand] = t + config.latency
-                arrivals.append((t + config.latency, cand))
-                issued += 1
-    if phases is not None:
-        phases["cache_loop_s"] = time.perf_counter() - t0
-
-    # Prefetches still unused (in cache) or in flight at trace end stay
-    # unscored: they count in `issued`, lowering accuracy, which matches
-    # hardware accounting for a finite evaluation window.
-    return SimResult(
-        prefetcher=prefetcher.name if prefetcher is not None else "none",
-        accesses=len(trace),
-        misses=misses,
-        baseline_misses=baseline_misses,
-        issued_prefetches=issued,
-        timely_prefetches=timely,
-        late_prefetches=late,
-        dropped_prefetches=dropped,
-        evicted_unused_prefetches=evicted_unused,
-        phases=phases,
-    )
-
-
-def _run_kernel(
-    trace: Sequence[MemoryAccess],
-    prefetcher: Optional[Prefetcher],
-    config: SimConfig,
-    candidates: Optional[List[List[int]]],
-    phases: Optional[Dict[str, float]],
-) -> SimResult:
-    """Kernel fast path: precomputed block ids + offline candidates
-    drive an :class:`ArrayCache` replay loop on plain ints.
-
-    ``candidates[t]`` is the already-sliced issue window for access
-    ``t`` — exactly what the streaming path's
-    ``prefetch(access, degree + distance)[distance:]`` yields — so the
-    loop below mirrors the streaming accounting line for line and the
-    equivalence tests pin identical counters.
-    """
     t0 = time.perf_counter()
     n = len(trace)
     blocks = (
@@ -556,6 +356,26 @@ def _run_kernel(
     ).tolist()
     if phases is not None:
         phases["encode_s"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    candidates: Optional[List[List[int]]] = None
+    if prefetcher is not None and config.degree > 0:
+        offline = getattr(prefetcher, "offline_candidates", None)
+        if offline is not None:
+            candidates = offline(trace, config.degree, config.distance)
+        if candidates is None:
+            if use_kernel:
+                raise ValueError(
+                    "use_kernel=True but the prefetcher cannot provide "
+                    "offline candidates for this trace (no "
+                    "offline_candidates hook, or it declined); use "
+                    "use_kernel=False to collect them per access"
+                )
+            candidates = _streamed_candidates(
+                trace, prefetcher, config.degree, config.distance
+            )
+    if phases is not None:
+        phases["candidates_s"] = time.perf_counter() - t0
 
     cache = ArrayCache(config.cache)
     baseline_cache = ArrayCache(config.cache)
@@ -571,9 +391,6 @@ def _run_kernel(
     dropped = 0
     evicted_unused = 0
 
-    do_prefetch = (
-        prefetcher is not None and config.degree > 0 and candidates is not None
-    )
     latency = config.latency
     capacity = config.queue_capacity
 
@@ -609,9 +426,9 @@ def _run_kernel(
             if evicted is not None and evicted[1] and not evicted[2]:
                 evicted_unused += 1
 
-        # 3. issue from the precomputed candidate table (offline
-        # candidates already embed the update-then-prefetch protocol).
-        if do_prefetch:
+        # 3. issue from the precomputed candidate table (each row
+        # already embeds the update-then-prefetch protocol).
+        if candidates is not None:
             for cand in candidates[t]:
                 if cand < 0 or cand in in_flight or cand in cache:
                     continue
@@ -624,6 +441,9 @@ def _run_kernel(
     if phases is not None:
         phases["cache_loop_s"] = time.perf_counter() - t0
 
+    # Prefetches still unused (in cache) or in flight at trace end stay
+    # unscored: they count in `issued`, lowering accuracy, which matches
+    # hardware accounting for a finite evaluation window.
     return SimResult(
         prefetcher=prefetcher.name if prefetcher is not None else "none",
         accesses=n,
@@ -637,6 +457,25 @@ def _run_kernel(
         phases=phases,
     )
 
+
+def _streamed_candidates(
+    trace: Sequence[MemoryAccess],
+    prefetcher: Prefetcher,
+    degree: int,
+    distance: int,
+) -> List[List[int]]:
+    """Per-position issue windows from per-access protocol calls.
+
+    Row ``t`` is ``prefetch(trace[t], degree + distance)[distance:]``
+    after ``update(trace[t])``.  Collecting the rows ahead of the
+    replay is exact because a prefetcher never observes cache state.
+    """
+    want = degree + distance
+    rows = []
+    for access in trace:
+        prefetcher.update(access)
+        rows.append(prefetcher.prefetch(access, want)[distance:want])
+    return rows
 
 # ----------------------------------------------------------------------
 # shared candidate decode helpers
@@ -711,19 +550,13 @@ class NeuralPrefetcher:
     step predicts the OOV page: the model cannot name a concrete page
     beyond that horizon.
 
-    Two execution modes share the same arithmetic graph:
-
-    - *streaming* (default): ``update``/``prefetch`` per access — the
-      online deployment shape;
-    - *primed*: :meth:`prime` precomputes the rollout for **every**
-      trace position in one batched pass (window mode: all window
-      features embedded at once, then ``degree`` batched replay steps;
-      stateful mode: one
-      :meth:`~voyager.infer.InferenceEngine.segment_states` scan, then
-      ``degree`` batched continuation steps), after which ``prefetch``
-      is a list lookup and ``update`` is a counter bump.
-      :func:`simulate` primes automatically; this is what makes the
-      neural simulator hot path competitive with the table baselines.
+    :meth:`offline_candidates` computes the same per-position
+    candidates for a whole trace in one batched pass (window mode: all
+    window features embedded at once, then one batched replay rollout;
+    stateful mode: one
+    :meth:`~voyager.infer.InferenceEngine.segment_states` scan, then
+    one batched continuation rollout).  It leaves the streaming state
+    untouched, so an instance can be simulated and then streamed.
 
     Float32 mode (``dtype=np.float32``) trades bit-exactness for
     roughly halved memory traffic; float64 (default) predictions are
@@ -760,14 +593,10 @@ class NeuralPrefetcher:
         # stateful-mode storage: carried (h, c) + last pc id
         self._state = None
         self._last_pc_id = 0
-        # primed-mode storage: candidate blocks per trace position
-        self._primed: Optional[List[List[int]]] = None
         self._pos = -1
 
     def update(self, access: MemoryAccess) -> None:
         self._pos += 1
-        if self._primed is not None:
-            return  # primed mode: candidates are precomputed by position
         pc_id = self.pc_vocab.encode(access.pc)
         feat = self.engine.feature_step(
             np.array([pc_id], dtype=np.int64),
@@ -797,10 +626,6 @@ class NeuralPrefetcher:
     def prefetch(self, access: MemoryAccess, degree: int = 1) -> List[int]:
         if degree < 1:
             return []
-        if self._primed is not None:
-            if 0 <= self._pos < len(self._primed):
-                return self._primed[self._pos][:degree]
-            return []
         if self.inference == "stateful":
             if self._state is None:
                 return []
@@ -822,24 +647,23 @@ class NeuralPrefetcher:
         )
         return self._decode_blocks(pages[0], offsets[0], valid[0], degree)
 
-    def prime(self, trace: Sequence[MemoryAccess], lookahead: int) -> None:
-        """Precompute ``lookahead`` candidates for every position of ``trace``.
+    def offline_candidates(
+        self, trace: Sequence[MemoryAccess], degree: int, distance: int
+    ) -> List[List[int]]:
+        """Per-position issue windows for :func:`simulate`.
 
-        Resets the online window and switches the prefetcher to serving
-        candidates by position as the caller replays the same trace
-        through ``update``/``prefetch``.  Predictions depend only on
-        the access stream, so this is a pure batching transform — the
-        arithmetic per position matches the streaming mode.
+        Row ``t`` is what a fresh streaming prefetcher would return from
+        ``prefetch(trace[t], degree + distance)[distance:]`` after
+        ``update(trace[t])``, computed in one batched rollout over the
+        whole trace.  The arithmetic per position matches the streaming
+        mode, and this instance's streaming state is not touched.
         """
-        history = self.model.config.history
-        self._pc_ids.clear()
-        self._feats.clear()
-        self._state = None
-        self._pos = -1
+        want = degree + distance
         n = len(trace)
-        self._primed = [[] for _ in range(n)]
-        if lookahead < 1 or n == 0:
-            return
+        history = self.model.config.history
+        first = 0 if self.inference == "stateful" else history - 1
+        if want < 1 or n <= first:
+            return [[] for _ in range(n)]
 
         pc_all = np.array(
             self.pc_vocab.encode_all(a.pc for a in trace), dtype=np.int64
@@ -852,48 +676,24 @@ class NeuralPrefetcher:
         if self.inference == "stateful":
             x = self.engine.feature_step(pc_all, page_all, off_all)
             states = self.engine.segment_states(x, self.seq_len)
-            pages, offsets, valid = self.engine.rollout(
-                states, pc_all, lookahead
+            pages, offsets, valid = self.engine.rollout(states, pc_all, want)
+        else:
+            windows = np.lib.stride_tricks.sliding_window_view
+            pc_w = windows(pc_all, history)  # (n - H + 1, H)
+            feats = self.engine.features(
+                pc_w, windows(page_all, history), windows(off_all, history)
             )
-            blocks = (self._page_table[pages] << OFFSET_BITS) | offsets
-            counts = np.where(
-                valid.all(axis=1), lookahead, valid.argmin(axis=1)
+            pages, offsets, valid = self.engine.rollout_window(
+                feats, pc_w[:, -1], want
             )
-            for pos in range(n):
-                self._primed[pos] = blocks[pos, : counts[pos]].tolist()
-            return
-
-        if n < history:
-            return
-        windows = np.lib.stride_tricks.sliding_window_view
-        pc_w = windows(pc_all, history)  # (n - H + 1, H)
-        page_w = windows(page_all, history)
-        off_w = windows(off_all, history)
-
-        feats = self.engine.features(pc_w, page_w, off_w)
-        pages, offsets, valid = self.engine.rollout_window(
-            feats, pc_w[:, -1], lookahead
-        )
         blocks = (self._page_table[pages] << OFFSET_BITS) | offsets
-        counts = np.where(valid.all(axis=1), lookahead, valid.argmin(axis=1))
-        for row, pos in enumerate(range(history - 1, n)):
-            self._primed[pos] = blocks[row, : counts[row]].tolist()
-
-    def offline_candidates(
-        self, trace: Sequence[MemoryAccess], degree: int, distance: int
-    ) -> List[List[int]]:
-        """Per-position issue windows for the kernel path.
-
-        Primes the whole trace (one batched rollout) and returns, for
-        each position, exactly the slice the streaming path would issue
-        from: ``prefetch(access, degree + distance)[distance:]``.
-        Predictions depend only on the access stream, never on cache
-        state, so the kernel is always available for this prefetcher.
-        """
-        self.prime(trace, degree + distance)
-        assert self._primed is not None
-        want = degree + distance
-        return [row[distance:want] for row in self._primed]
+        counts = np.where(valid.all(axis=1), want, valid.argmin(axis=1))
+        rows: List[List[int]] = [[] for _ in range(first)]
+        rows.extend(
+            blocks[row, distance : counts[row]].tolist()
+            for row in range(blocks.shape[0])
+        )
+        return rows
 
 
 def make_prefetcher(
@@ -950,10 +750,8 @@ def make_prefetcher(
 __all__ = [
     "ArrayCache",
     "CacheConfig",
-    "CacheLine",
     "NeuralPrefetcher",
     "Prefetcher",
-    "SetAssociativeCache",
     "SimConfig",
     "SimResult",
     "decode_block_candidates",

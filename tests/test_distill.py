@@ -5,7 +5,8 @@ contract is different from the bit-exact tiers: the tests pin what
 stays exact — a full-depth (``depth == history``) table hit reproduces
 the engine's rollout bit for bit, every stored candidate list is a real
 engine rollout of some matching training window (never a blend), and
-the kernel/streaming simulator paths agree — plus hypothesis property
+the simulator's counters equal the per-access reference simulator's
+(``tests/sim_reference.py``) — plus hypothesis property
 tests over table build, lookup fallback order, serialization and the
 frontier/budget plumbing in :mod:`voyager.bench`.
 """
@@ -14,6 +15,7 @@ import json
 
 import pytest
 
+from sim_reference import reference_simulate
 from voyager.baselines import StridePrefetcher, next_line_candidates
 from voyager.bench import (
     SMOKE_PROFILE,
@@ -37,6 +39,7 @@ from voyager.distill import (
 from voyager.model import HierarchicalModel, ModelConfig
 from voyager.sim import NeuralPrefetcher, SimConfig, make_prefetcher, simulate
 from voyager.synthetic import generate
+from voyager.traces import MemoryAccess
 from voyager.train import build_dataset
 from voyager.vocab import Vocab
 
@@ -71,14 +74,13 @@ def distill_setup(workload: str = "stride", n: int = 300, seed: int = 0):
 
 
 def engine_rollouts(model, pc_vocab, page_vocab, trace, k):
-    """Reference rollouts per trace position via NeuralPrefetcher.prime.
+    """Reference rollouts per trace position via offline_candidates.
 
     Independent of :func:`build_table`'s own arithmetic — this is the
     code path the simulator itself trusts.
     """
     neural = NeuralPrefetcher(model, pc_vocab, page_vocab)
-    neural.prime(trace, k)
-    return neural._primed
+    return neural.offline_candidates(trace, k, 0)
 
 
 def encoded_triples(pc_vocab, page_vocab, trace):
@@ -401,9 +403,44 @@ def test_kernel_and_streaming_paths_are_bit_identical(workload, fallback):
     pf_kernel = TablePrefetcher(table)
     kernel = simulate(trace, pf_kernel, sim_config, use_kernel=True)
     pf_stream = TablePrefetcher(table)
-    stream = simulate(trace, pf_stream, sim_config, use_kernel=False)
+    stream = reference_simulate(trace, pf_stream, sim_config)
     assert kernel.as_dict() == stream.as_dict()
     assert pf_kernel.stats == pf_stream.stats
+
+
+def test_stride_fallback_table_overflow_matches_reference():
+    """A trace with more distinct PCs than the stride table holds makes
+    table evictions matter: ``offline_candidates`` declines and
+    ``simulate`` collects the rows per access instead."""
+    model, pc_vocab, page_vocab, base = distill_setup("stride", seed=2)
+    config = DistillConfig(
+        depths=(3, 1), top_k=TOP_K, table_size=64, fallback="stride"
+    )
+    table = build_table(model, pc_vocab, page_vocab, base, config)
+    overflow = []
+    for i in range(4200):  # two strided hot PCs + one new PC per step
+        hot = i % 2
+        overflow.append(
+            MemoryAccess.from_pc_address(
+                0x7000 + hot, ((50_000 * (hot + 1)) + 3 * i) << 6
+            )
+        )
+        overflow.append(
+            MemoryAccess.from_pc_address(0x100000 + i, (900_000 + 37 * i) << 6)
+        )
+    trace = list(base) + overflow
+    sim_config = SimConfig(degree=2, distance=3, latency=4)
+    pf = TablePrefetcher(table)
+    with pytest.warns(RuntimeWarning, match="falling back"):
+        result = simulate(trace, pf, sim_config)
+    pf_stream = TablePrefetcher(table)
+    assert result == reference_simulate(trace, pf_stream, sim_config)
+    assert pf.stats == pf_stream.stats
+    assert pf.stats.get("stride", 0) > 0 and pf.hit_rate > 0
+    assert result.issued_prefetches > 0
+    with pytest.warns(RuntimeWarning, match="falling back"):
+        with pytest.raises(ValueError, match="use_kernel=True"):
+            simulate(trace, TablePrefetcher(table), sim_config, use_kernel=True)
 
 
 def test_offline_candidates_match_streaming_protocol():
@@ -551,12 +588,11 @@ SEQ_LEN = 16
 
 
 def stateful_rollouts(model, pc_vocab, page_vocab, trace, k):
-    """Reference rollouts per position via the stateful prime path."""
+    """Reference rollouts per position via the stateful offline path."""
     neural = NeuralPrefetcher(
         model, pc_vocab, page_vocab, inference="stateful", seq_len=SEQ_LEN
     )
-    neural.prime(trace, k)
-    return neural._primed
+    return neural.offline_candidates(trace, k, 0)
 
 
 def test_build_table_inference_validation():

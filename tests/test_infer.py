@@ -254,7 +254,8 @@ def small_fit():
 
 
 def test_prefetcher_never_calls_training_forward(small_fit, monkeypatch):
-    """Streaming and primed simulation run with ``forward`` disabled.
+    """Streaming and offline-candidate simulation run with ``forward``
+    disabled.
 
     ``model.forward`` is the only entry point that allocates the
     backprop cache, so poisoning it proves the whole simulator hot path
@@ -281,18 +282,17 @@ def test_prefetcher_never_calls_training_forward(small_fit, monkeypatch):
     assert result.accesses == len(trace)
 
 
-def test_streaming_and_primed_candidates_agree(small_fit):
-    """The primed batch transform preserves per-position predictions."""
+def test_streaming_and_offline_candidates_agree(small_fit):
+    """The batched offline transform preserves per-position predictions."""
     trace, model, dataset = small_fit
     lookahead = 6
 
-    primed = NeuralPrefetcher(model, dataset.pc_vocab, dataset.page_vocab)
-    primed.prime(trace, lookahead)
+    offline = NeuralPrefetcher(model, dataset.pc_vocab, dataset.page_vocab)
+    rows = offline.offline_candidates(trace, lookahead, 0)
     streaming = NeuralPrefetcher(model, dataset.pc_vocab, dataset.page_vocab)
     for i, access in enumerate(trace[:120]):
-        primed.update(access)
         streaming.update(access)
-        assert primed.prefetch(access, lookahead) == streaming.prefetch(
+        assert rows[i] == streaming.prefetch(
             access, lookahead
         ), f"candidate mismatch at position {i}"
 

@@ -1,14 +1,17 @@
-"""Kernel fast-path tests: ArrayCache semantics + streaming equivalence.
+"""Simulator tests: ArrayCache semantics + equivalence with the oracle.
 
-The kernel path (`simulate(..., use_kernel=True)`) must produce
-bit-identical `SimResult` counters to the streaming reference path on
-every workload and prefetcher — that equivalence is the whole contract
-that lets the simulator default to the fast path.
+`simulate` replays a precomputed candidate table over `ArrayCache`.
+Whichever source the table comes from (the prefetcher's
+`offline_candidates` hook or per-access `update`/`prefetch` calls), it
+must produce bit-identical `SimResult` counters to `reference_simulate`
+(`tests/sim_reference.py`), which calls the protocol per access during
+an OrderedDict-cache replay — on every workload and prefetcher.
 """
 
 import numpy as np
 import pytest
 
+from sim_reference import SetAssociativeCache, reference_simulate
 from voyager.baselines import NextLinePrefetcher, StridePrefetcher
 from voyager.labeling import LabelConfig
 from voyager.model import HierarchicalModel, ModelConfig
@@ -16,7 +19,6 @@ from voyager.sim import (
     ArrayCache,
     CacheConfig,
     NeuralPrefetcher,
-    SetAssociativeCache,
     SimConfig,
     make_prefetcher,
     simulate,
@@ -26,7 +28,7 @@ from voyager.train import build_dataset, train
 
 
 # ----------------------------------------------------------------------
-# ArrayCache unit semantics (mirrors the SetAssociativeCache units)
+# ArrayCache unit semantics (mirrors the reference cache units)
 # ----------------------------------------------------------------------
 def test_array_cache_miss_then_hit():
     cache = ArrayCache(CacheConfig(num_sets=4, ways=2))
@@ -118,7 +120,7 @@ def test_array_cache_matches_reference_on_a_mixed_sequence():
 
 
 # ----------------------------------------------------------------------
-# kernel vs streaming equivalence
+# simulate vs the reference simulator
 # ----------------------------------------------------------------------
 CONFIGS = (
     SimConfig(),
@@ -132,7 +134,7 @@ CONFIGS = (
 def test_kernel_matches_streaming_for_baselines(workload, kind):
     trace = generate(workload, 1500, seed=11)
     for config in CONFIGS:
-        slow = simulate(trace, make_prefetcher(kind), config, use_kernel=False)
+        slow = reference_simulate(trace, make_prefetcher(kind), config)
         fast = simulate(trace, make_prefetcher(kind), config, use_kernel=True)
         assert fast == slow
 
@@ -162,18 +164,36 @@ def test_kernel_matches_streaming_for_neural(tiny_neural, config):
     def fresh():
         return NeuralPrefetcher(model, dataset.pc_vocab, dataset.page_vocab)
 
-    slow = simulate(trace, fresh(), config, use_kernel=False)
+    slow = reference_simulate(trace, fresh(), config)
     fast = simulate(trace, fresh(), config, use_kernel=True)
     default = simulate(trace, fresh(), config)
     assert fast == slow
-    assert default == slow  # the default takes the kernel path
+    assert default == slow  # the default uses offline candidates too
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_stateful_neural_matches_reference(tiny_neural, config):
+    trace, model, dataset = tiny_neural
+
+    def fresh():
+        return NeuralPrefetcher(
+            model,
+            dataset.pc_vocab,
+            dataset.page_vocab,
+            inference="stateful",
+            seq_len=16,
+        )
+
+    assert simulate(trace, fresh(), config) == reference_simulate(
+        trace, fresh(), config
+    )
 
 
 def test_default_dispatch_equals_both_paths_on_all_workloads():
     for workload in WORKLOADS:
         trace = generate(workload, 1200, seed=3)
         for kind in ("next_line", "stride"):
-            slow = simulate(trace, make_prefetcher(kind), use_kernel=False)
+            slow = reference_simulate(trace, make_prefetcher(kind))
             default = simulate(trace, make_prefetcher(kind))
             assert default == slow, (workload, kind)
 
@@ -184,10 +204,10 @@ def test_stride_offline_falls_back_when_table_overflows():
     with pytest.warns(RuntimeWarning, match="falling back"):
         assert small.offline_candidates(trace, 2, 0) is None
     assert small.fallback  # latched for bench reporting
-    # default dispatch falls back to streaming (loudly: it warns)...
+    # the default collects candidates per access (loudly: it warns)...
     with pytest.warns(RuntimeWarning, match="falling back"):
         fallback = simulate(trace, StridePrefetcher(max_entries=2))
-    slow = simulate(trace, StridePrefetcher(max_entries=2), use_kernel=False)
+    slow = reference_simulate(trace, StridePrefetcher(max_entries=2))
     assert fallback == slow
     # ...but a forced kernel refuses
     with pytest.warns(RuntimeWarning, match="falling back"):
@@ -208,9 +228,47 @@ def test_forced_kernel_rejects_streaming_only_prefetcher():
     trace = generate("stride", 100, seed=0)
     with pytest.raises(ValueError, match="offline"):
         simulate(trace, Opaque(), use_kernel=True)
-    # the streaming fallback handles it fine
+    # per-access candidate collection handles it fine
     result = simulate(trace, Opaque())
     assert result.issued_prefetches == 0
+
+
+class Noisy:
+    """Offline-less prefetcher whose candidates do get issued.
+
+    Candidates mix a history-dependent stride guess, a duplicate, a
+    negative value and an already-demanded block, so every issue
+    filter and (with a small queue) the drop counter are exercised.
+    """
+
+    name = "noisy"
+
+    def __init__(self):
+        self.prev = None
+        self.delta = 1
+
+    def update(self, access):
+        if self.prev is not None:
+            self.delta = access.block - self.prev
+        self.prev = access.block
+
+    def prefetch(self, access, degree=1):
+        block = access.block
+        cands = [block + self.delta, block + self.delta, -1, block - 3]
+        cands += [block + 2 * self.delta + k for k in range(degree)]
+        return cands[:degree]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_streamed_candidates_match_reference(workload):
+    trace = generate(workload, 1200, seed=7)
+    dropped = 0
+    for config in CONFIGS:
+        fast = simulate(trace, Noisy(), config)
+        assert fast == reference_simulate(trace, Noisy(), config)
+        dropped += fast.dropped_prefetches
+        assert fast.issued_prefetches > 0
+    assert dropped > 0  # queue_capacity=4 config overflows
 
 
 def test_offline_candidates_match_streaming_protocol():
@@ -235,8 +293,10 @@ def test_profile_records_phases_for_both_paths():
     trace = generate("stride", 500, seed=1)
     fast = simulate(trace, NextLinePrefetcher(), profile=True)
     assert set(fast.phases) == {"encode_s", "candidates_s", "cache_loop_s"}
-    slow = simulate(trace, NextLinePrefetcher(), profile=True, use_kernel=False)
-    assert "cache_loop_s" in slow.phases
+    streamed = simulate(trace, Noisy(), profile=True)
+    assert set(streamed.phases) == {"encode_s", "candidates_s", "cache_loop_s"}
+    demand_only = simulate(trace, None, profile=True)
+    assert set(demand_only.phases) == set(streamed.phases)
     unprofiled = simulate(trace, NextLinePrefetcher())
     assert unprofiled.phases is None
     assert "phases" not in unprofiled.as_dict()

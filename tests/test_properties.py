@@ -12,7 +12,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from voyager.sim import ArrayCache, CacheConfig, SetAssociativeCache  # noqa: E402
+from sim_reference import SetAssociativeCache  # noqa: E402
+from voyager.sim import ArrayCache, CacheConfig  # noqa: E402
 from voyager.traces import (  # noqa: E402
     BLOCK_BITS,
     NUM_OFFSETS,

@@ -10,12 +10,12 @@ the commit message.
 
 import pytest
 
+from sim_reference import SetAssociativeCache
 from voyager.baselines import NextLinePrefetcher
 from voyager.model import HierarchicalModel, ModelConfig
 from voyager.sim import (
     CacheConfig,
     NeuralPrefetcher,
-    SetAssociativeCache,
     SimConfig,
     make_prefetcher,
     simulate,
@@ -25,7 +25,7 @@ from voyager.train import build_dataset, train
 
 
 # ----------------------------------------------------------------------
-# cache model units
+# reference cache model units (the oracle ArrayCache is pinned to)
 # ----------------------------------------------------------------------
 def test_cache_miss_then_hit():
     cache = SetAssociativeCache(CacheConfig(num_sets=4, ways=2))
@@ -315,8 +315,8 @@ def test_stateful_prefetcher_predicts_from_first_access(trained_stateful):
     assert cold.prefetch(trace[0], degree=2) == []
 
 
-def test_stateful_streaming_and_primed_candidates_agree(trained_stateful):
-    """The primed segment_states transform preserves per-position
+def test_stateful_streaming_and_offline_candidates_agree(trained_stateful):
+    """The batched segment_states transform preserves per-position
     predictions of the streaming stateful prefetcher."""
     trace, model, dataset = trained_stateful
 
@@ -329,15 +329,64 @@ def test_stateful_streaming_and_primed_candidates_agree(trained_stateful):
             seq_len=32,
         )
 
-    primed = make()
-    primed.prime(trace, lookahead=4)
+    rows = make().offline_candidates(trace, 4, 0)
+    assert len(rows) == len(trace)
     streaming = make()
     for i, access in enumerate(trace[:120]):
-        primed.update(access)
         streaming.update(access)
-        assert primed.prefetch(access, 4) == streaming.prefetch(
+        assert rows[i] == streaming.prefetch(
             access, 4
         ), f"candidate mismatch at position {i}"
+
+
+def _stream(pf, trace, degree=4):
+    out = []
+    for access in trace:
+        pf.update(access)
+        out.append(pf.prefetch(access, degree))
+    return out
+
+
+@pytest.mark.parametrize("inference", ["window", "stateful"])
+def test_simulate_leaves_no_stale_state(trained_neural, inference):
+    """Simulating one trace must not leak its candidates into a later
+    stream over another trace."""
+    trace, model, dataset = trained_neural
+
+    def make():
+        return NeuralPrefetcher(
+            model,
+            dataset.pc_vocab,
+            dataset.page_vocab,
+            inference=inference,
+            seq_len=32,
+        )
+
+    trace_a, trace_b = trace[:200], trace[13:]
+    pf = make()
+    simulate(trace_a, pf, SimConfig(degree=2, distance=2))
+    assert _stream(pf, trace_b) == _stream(make(), trace_b)
+
+
+@pytest.mark.parametrize("inference", ["window", "stateful"])
+def test_offline_candidates_mid_stream_keep_streaming_state(
+    trained_neural, inference
+):
+    trace, model, dataset = trained_neural
+
+    def make():
+        return NeuralPrefetcher(
+            model,
+            dataset.pc_vocab,
+            dataset.page_vocab,
+            inference=inference,
+            seq_len=32,
+        )
+
+    pf = make()
+    head = _stream(pf, trace[:50])
+    pf.offline_candidates(trace[100:300], 2, 3)
+    assert head + _stream(pf, trace[50:]) == _stream(make(), trace)
 
 
 def test_stateful_simulates_end_to_end(trained_stateful):
