@@ -22,7 +22,7 @@ prediction; this module is the software loop that closes serve -> train
   reader sees.
 - :class:`AdaptationLoop` — watches a log directory for closed
   segments and, per :meth:`~AdaptationLoop.poll`, fine-tunes the live
-  weights on them with ``train(mode="sequence")``, mixing in a seeded
+  weights on them with :func:`~voyager.train.train`, mixing in a seeded
   sample of already-consumed segments (``replay_mix``) so the model
   keeps hold of the old regime while learning the new one
   (catastrophic-forgetting resistance).  Vocabularies are *frozen* at
@@ -255,10 +255,10 @@ class AdaptationLoop:
        segments, in order) — the ``replay_mix`` fraction of the
        already-consumed segment pool is replayed each round so the old
        regime is rehearsed alongside the new one;
-    3. fine-tunes a *copy* of the current weights with
-       ``train(mode="sequence")`` (TBPTT, cosine schedule) — the
-       serving engine aliases the live model's arrays, so training in
-       place would corrupt in-flight serving;
+    3. fine-tunes a *copy* of the current weights with ``train``
+       (TBPTT, cosine schedule) — the serving engine aliases the live
+       model's arrays, so training in place would corrupt in-flight
+       serving;
     4. saves ``ckpt-vNNNN`` atomically and repoints ``CURRENT`` at it.
 
     Determinism: round ``r`` derives its RNG and training seeds from
@@ -379,7 +379,6 @@ class AdaptationLoop:
             batch_size=self.batch_size,
             lr=self.lr,
             seed=derive_cell_seed(self.seed, f"adapt/train{self.rounds}"),
-            mode="sequence",
             tbptt=self.tbptt,
             lr_schedule=self.lr_schedule,
         )
@@ -597,7 +596,6 @@ def _run_workload(
         batch_size=config.batch_size,
         lr=config.lr,
         seed=derive_cell_seed(config.seed, f"adapt/{workload}/train"),
-        mode="sequence",
         tbptt=config.tbptt,
         lr_schedule="cosine",
     )

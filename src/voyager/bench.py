@@ -34,13 +34,10 @@ kept at full precision in the in-memory report and rounded only when
 ``--profile-sim`` each cell additionally records the simulator's
 per-phase timings (encode / candidates / cache loop).
 
-Neural (and table) cells train in the profile's ``train_mode``:
-``"sequence"`` (the default since schema v5) trains with truncated
-BPTT over ``seq_len``-access segments — every timestep supervised,
-cosine LR schedule, stateful inference — while ``"window"`` replays
-the legacy stride-1 sliding-window recipe (the ``smoke-window`` /
-``full-window`` profiles reproduce the pre-v5 cells exactly).  Each
-trained cell records its ``train_mode`` and a ``train_phases``
+Neural (and table) cells train with truncated BPTT over
+``seq_len``-access segments — every timestep supervised, cosine LR
+schedule — and simulate with stateful inference.  Each trained cell
+records ``train_mode`` (always ``"sequence"``) and a ``train_phases``
 wall-time breakdown (encode / labels / forward / backward /
 optimizer), and ``--max-train-s`` gates the neural ``train_s`` per
 workload the same way ``--max-neural-sim-s`` gates simulation.
@@ -69,7 +66,7 @@ from voyager.ioutil import atomic_write_text, round_floats
 from voyager.labeling import LabelConfig
 from voyager.model import HierarchicalModel, ModelConfig
 from voyager.sim import NeuralPrefetcher, SimConfig, make_prefetcher, simulate
-from voyager.train import build_dataset, build_sequence_dataset, train
+from voyager.train import build_sequence_dataset, train
 
 #: Bumped whenever the report layout changes incompatibly.
 #: v2: per-cell ``elapsed_s`` replaced by ``cpu_s``; top-level gains
@@ -125,11 +122,9 @@ class BenchProfile:
     history: int = 8
     batch_size: int = 32
     lr: float = 1e-2
-    #: How the neural cells train: ``"sequence"`` (truncated BPTT over
-    #: ``seq_len``-access segments, every timestep supervised, stateful
-    #: inference) or ``"window"`` (the legacy stride-1 sliding-window
-    #: recipe with zero-state window replay at inference).
-    train_mode: str = "sequence"
+    #: Neural cells train with truncated BPTT over ``seq_len``-access
+    #: segments (``tbptt``-step chunks) and simulate statefully,
+    #: resetting every ``seq_len`` accesses.
     seq_len: int = 32
     tbptt: int = 8
     lr_schedule: str = "cosine"
@@ -153,12 +148,10 @@ class BenchProfile:
         )
 
 
-#: The sequence profiles' training hyperparameters come from the
-#: measured speed/quality frontier (README "Training performance"):
-#: batch 16 segments of 32 timesteps, TBPTT 8, peak lr 0.04 annealed
-#: by the half-cosine schedule.  The ``*-window`` profiles keep the
-#: pre-v5 recipe (batch 32 windows, constant lr 1e-2) so the legacy
-#: cells stay reproducible for cross-PR comparison.
+#: The profiles' training hyperparameters come from the measured
+#: speed/quality frontier (README "Training performance"): batch 16
+#: segments of 32 timesteps, TBPTT 8, peak lr 0.04 annealed by the
+#: half-cosine schedule.
 SMOKE_PROFILE = BenchProfile(
     name="smoke",
     trace_length=1200,
@@ -177,24 +170,6 @@ FULL_PROFILE = BenchProfile(
     batch_size=16,
     lr=0.04,
 )
-SMOKE_WINDOW_PROFILE = BenchProfile(
-    name="smoke-window",
-    trace_length=1200,
-    train_steps=60,
-    embed_dim=8,
-    hidden_dim=16,
-    train_mode="window",
-    lr_schedule="constant",
-)
-FULL_WINDOW_PROFILE = BenchProfile(
-    name="full-window",
-    trace_length=6000,
-    train_steps=400,
-    embed_dim=16,
-    hidden_dim=32,
-    train_mode="window",
-    lr_schedule="constant",
-)
 
 
 def _train_neural(
@@ -202,24 +177,16 @@ def _train_neural(
 ) -> Tuple[NeuralPrefetcher, Dict[str, Any]]:
     """Train the profile's neural prefetcher over ``trace``.
 
-    Dispatches on ``profile.train_mode`` and returns the prefetcher
-    wired for the matching inference mode (stateful continuation for
-    sequence-trained models, zero-state window replay for
-    window-trained ones) plus the cell-report fields: ``train_mode``
+    Returns the prefetcher wired for stateful inference with the
+    training ``seq_len`` plus the cell-report fields: ``train_mode``
     and the ``train_phases`` wall-time breakdown.
     """
-    sequence = profile.train_mode == "sequence"
-    if sequence:
-        # Tiny traces (tests, custom profiles) may be shorter than the
-        # profile's segment length; clamp so one segment still fits.
-        seq_len = min(profile.seq_len, max(1, len(trace) - 1))
-        dataset = build_sequence_dataset(
-            trace, seq_len=seq_len, label_config=LabelConfig()
-        )
-    else:
-        dataset = build_dataset(
-            trace, history=profile.history, label_config=LabelConfig()
-        )
+    # Tiny traces (tests, custom profiles) may be shorter than the
+    # profile's segment length; clamp so one segment still fits.
+    seq_len = min(profile.seq_len, max(1, len(trace) - 1))
+    dataset = build_sequence_dataset(
+        trace, seq_len=seq_len, label_config=LabelConfig()
+    )
     config = ModelConfig(
         pc_vocab_size=dataset.pc_vocab.size,
         page_vocab_size=dataset.page_vocab.size,
@@ -236,24 +203,19 @@ def _train_neural(
         batch_size=profile.batch_size,
         lr=profile.lr,
         seed=seed,
-        tbptt=profile.tbptt if sequence else None,
+        tbptt=profile.tbptt,
         lr_schedule=profile.lr_schedule,
         profile=True,
     )
-    if sequence:
-        prefetcher = NeuralPrefetcher(
-            model,
-            dataset.pc_vocab,
-            dataset.page_vocab,
-            inference="stateful",
-            seq_len=seq_len,
-        )
-    else:
-        prefetcher = NeuralPrefetcher(
-            model, dataset.pc_vocab, dataset.page_vocab
-        )
+    prefetcher = NeuralPrefetcher(
+        model,
+        dataset.pc_vocab,
+        dataset.page_vocab,
+        inference="stateful",
+        seq_len=seq_len,
+    )
     return prefetcher, {
-        "train_mode": profile.train_mode,
+        "train_mode": "sequence",
         "train_phases": result.phases,
     }
 
@@ -419,7 +381,7 @@ def run_bench(
             "embed_dim": profile.embed_dim,
             "hidden_dim": profile.hidden_dim,
             "history": profile.history,
-            "train_mode": profile.train_mode,
+            "train_mode": "sequence",
             "seq_len": profile.seq_len,
             "tbptt": profile.tbptt,
             "lr_schedule": profile.lr_schedule,
@@ -1058,13 +1020,10 @@ def parse_int_list(text: str, flag: str) -> Tuple[int, ...]:
     return values
 
 
-#: Selectable profiles: the default pair trains in sequence mode, the
-#: ``*-window`` pair reproduces the pre-v5 sliding-window cells.
+#: Selectable profiles.
 PROFILES = {
     "smoke": SMOKE_PROFILE,
     "full": FULL_PROFILE,
-    "smoke-window": SMOKE_WINDOW_PROFILE,
-    "full-window": FULL_WINDOW_PROFILE,
 }
 
 
@@ -1086,8 +1045,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--profile",
         choices=tuple(sorted(PROFILES)),
         default="smoke",
-        help="workload size / training budget; the *-window variants "
-        "reproduce the legacy sliding-window cells (default: smoke)",
+        help="workload size / training budget (default: smoke)",
     )
     parser.add_argument("--out", default=BENCH_FILENAME)
     parser.add_argument("--seed", type=int, default=0)

@@ -57,7 +57,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -110,12 +110,13 @@ from voyager.loadgen import (
 from voyager.model import (
     HierarchicalModel,
     ModelConfig,
+    checkpoint_metadata,
     load_checkpoint,
     save_checkpoint,
 )
 from voyager.sim import CacheConfig, SimConfig, make_prefetcher, simulate
 from voyager.traces import TraceParseError, parse_trace, write_trace
-from voyager.train import build_dataset, build_sequence_dataset, train
+from voyager.train import build_sequence_dataset, train
 
 
 def _add_model_args(parser: argparse.ArgumentParser) -> None:
@@ -131,25 +132,19 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pc-cap", type=int, default=1024)
     parser.add_argument("--page-cap", type=int, default=1024)
     parser.add_argument(
-        "--train-mode",
-        choices=("window", "sequence"),
-        default="window",
-        help="window: stride-1 sliding-window training (legacy); "
-        "sequence: truncated-BPTT segments with every timestep "
-        "supervised (default: window)",
-    )
-    parser.add_argument(
         "--seq-len",
         type=int,
         default=32,
-        help="sequence-mode segment length (default: 32)",
+        help="training segment length; every timestep is supervised and "
+        "a saved checkpoint is simulated statefully with this reset "
+        "period (default: 32)",
     )
     parser.add_argument(
         "--tbptt",
         type=int,
         default=None,
-        help="sequence-mode truncated-BPTT chunk; default: the whole "
-        "segment (one update per segment batch)",
+        help="truncated-BPTT chunk; default: the whole segment (one "
+        "update per segment batch)",
     )
     parser.add_argument(
         "--lr-schedule",
@@ -293,22 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="neural inference precision: float64 is bit-identical to "
         "training, float32 trades exactness for speed",
     )
-    sim.add_argument(
-        "--inference",
-        choices=("window", "stateful"),
-        default="window",
-        help="neural inference mode (with --checkpoint); must match the "
-        "checkpoint's training mode: window for --train-mode window, "
-        "stateful for --train-mode sequence (default: window)",
-    )
-    sim.add_argument(
-        "--inference-seq-len",
-        type=int,
-        default=32,
-        metavar="T",
-        help="stateful-mode state-reset period; use the --seq-len the "
-        "checkpoint was trained with (default: 32)",
-    )
     _add_sim_args(sim)
 
     distill = sub.add_parser(
@@ -364,8 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         choices=tuple(sorted(PROFILES)),
         default="full",
-        help="workload size / training budget; the *-window variants "
-        "reproduce the legacy sliding-window cells (default: full)",
+        help="workload size / training budget (default: full)",
     )
     bench.add_argument("--out", default=BENCH_FILENAME)
     bench.add_argument("--seed", type=int, default=0)
@@ -666,23 +644,13 @@ def run_training(args: argparse.Namespace) -> int:
     label_config = LabelConfig(
         window=args.window, spatial_radius=args.spatial_radius
     )
-    sequence = args.train_mode == "sequence"
-    if sequence:
-        dataset = build_sequence_dataset(
-            trace,
-            seq_len=args.seq_len,
-            label_config=label_config,
-            pc_cap=args.pc_cap,
-            page_cap=args.page_cap,
-        )
-    else:
-        dataset = build_dataset(
-            trace,
-            history=args.history,
-            label_config=label_config,
-            pc_cap=args.pc_cap,
-            page_cap=args.page_cap,
-        )
+    dataset = build_sequence_dataset(
+        trace,
+        seq_len=args.seq_len,
+        label_config=label_config,
+        pc_cap=args.pc_cap,
+        page_cap=args.page_cap,
+    )
     config = ModelConfig(
         pc_vocab_size=dataset.pc_vocab.size,
         page_vocab_size=dataset.page_vocab.size,
@@ -692,13 +660,9 @@ def run_training(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     model = HierarchicalModel(config)
-    examples = (
-        f"segments={len(dataset)}x{dataset.seq_len}"
-        if sequence
-        else f"examples={len(dataset)}"
-    )
     print(
-        f"trace={args.trace} accesses={len(trace)} {examples} "
+        f"trace={args.trace} accesses={len(trace)} "
+        f"segments={len(dataset)}x{dataset.seq_len} "
         f"params={model.num_parameters()}"
     )
     result = train(
@@ -711,19 +675,7 @@ def run_training(args: argparse.Namespace) -> int:
         tbptt=args.tbptt,
         lr_schedule=args.lr_schedule,
     )
-    if sequence:
-        # Teacher-forced window metrics need a window dataset; reuse
-        # the training vocabs so the ids mean the same thing.
-        eval_dataset = build_dataset(
-            trace,
-            history=args.history,
-            label_config=label_config,
-            pc_vocab=dataset.pc_vocab,
-            page_vocab=dataset.page_vocab,
-        )
-    else:
-        eval_dataset = dataset
-    metrics = evaluate(model, eval_dataset)
+    metrics = evaluate(model, dataset)
     print(
         f"loss={result.final_loss:.6f} "
         f"page_acc={metrics.page_accuracy:.4f} "
@@ -732,12 +684,12 @@ def run_training(args: argparse.Namespace) -> int:
         f"coverage={metrics.label_coverage:.4f}"
     )
     if not args.no_baselines:
-        skip = args.history - 1
+        # Scored over every position, like the neural metrics above.
         for name, pf in (
             ("next_line", NextLinePrefetcher()),
             ("stride", StridePrefetcher()),
         ):
-            base = evaluate_baseline(pf, trace, skip=skip)
+            base = evaluate_baseline(pf, trace)
             print(
                 f"baseline {name}: acc={base.accuracy:.4f} "
                 f"precision={base.precision:.4f} issued={base.issued}"
@@ -748,11 +700,31 @@ def run_training(args: argparse.Namespace) -> int:
             model,
             dataset.pc_vocab,
             dataset.page_vocab,
-            train_mode=args.train_mode,
-            seq_len=args.seq_len if sequence else None,
+            train_mode="sequence",
+            seq_len=args.seq_len,
         )
         print(f"saved checkpoint: {npz_path} + {json_path}")
     return 0
+
+
+def _checkpoint_inference(meta: Dict[str, Any]) -> Dict[str, Any]:
+    """``simulate_model`` inference arguments for a checkpoint's metadata.
+
+    ``train_mode == "sequence"`` means stateful inference that resets
+    every saved ``seq_len`` accesses, the segmentation the weights were
+    trained on; a missing or non-positive ``seq_len`` is an error.  Any
+    other ``train_mode`` (``"window"`` or ``None``, from older saves)
+    replays zero-state windows.
+    """
+    if meta.get("train_mode") != "sequence":
+        return {"inference": "window"}
+    seq_len = meta.get("seq_len")
+    if isinstance(seq_len, bool) or not isinstance(seq_len, int) or seq_len < 1:
+        raise ValueError(
+            f"checkpoint trained in sequence mode records seq_len="
+            f"{seq_len!r}; expected an integer >= 1"
+        )
+    return {"inference": "stateful", "seq_len": seq_len}
 
 
 def run_simulate(args: argparse.Namespace) -> int:
@@ -763,8 +735,6 @@ def run_simulate(args: argparse.Namespace) -> int:
             "--prefetcher table needs --table FILE (build one with "
             "'python -m voyager distill')"
         )
-    if args.inference != "window" and not args.checkpoint:
-        raise ValueError("--inference stateful needs --checkpoint")
     if args.workload:
         trace = synthetic.generate(args.workload, args.length, seed=args.seed)
     else:
@@ -786,8 +756,7 @@ def run_simulate(args: argparse.Namespace) -> int:
             trace,
             sim_config,
             dtype=np.float32 if args.dtype == "float32" else np.float64,
-            inference=args.inference,
-            seq_len=args.inference_seq_len,
+            **_checkpoint_inference(checkpoint_metadata(args.checkpoint)),
         )
     elif args.prefetcher == "none":
         result = simulate(trace, None, sim_config)

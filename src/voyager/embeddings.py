@@ -85,7 +85,7 @@ def page_aware_offset_step(
     Inference-mode counterpart of :func:`page_aware_offset_forward`:
     identical arithmetic on a ``(B,)`` slice of ids, but no backward
     cache is built.  In float64 the result is bit-identical to the
-    corresponding position of the full-window forward.
+    corresponding position of the full-sequence forward.
     """
     d = offset_table.shape[-1]
     cand = offset_table[offset_ids]  # (B, K, d)

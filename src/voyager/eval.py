@@ -2,8 +2,8 @@
 
 Two views of quality live here:
 
-- :func:`evaluate` — argmax next-access accuracy of the two heads on an
-  encoded dataset (fast, model-only);
+- :func:`evaluate` — argmax next-access accuracy of the two heads at
+  every position of an encoded sequence dataset (fast, model-only);
 - :func:`simulate_model` — the cache-outcome view: wraps a trained
   model in a :class:`~voyager.sim.NeuralPrefetcher` and replays a raw
   trace through the prefetch simulator, yielding the paper's
@@ -20,7 +20,7 @@ import numpy as np
 from voyager.model import HierarchicalModel
 from voyager.sim import NeuralPrefetcher, SimConfig, SimResult, simulate
 from voyager.traces import MemoryAccess
-from voyager.train import Dataset
+from voyager.train import SequenceDataset
 from voyager.vocab import Vocab
 
 
@@ -45,35 +45,53 @@ class EvalResult:
 
 def evaluate(
     model: HierarchicalModel,
-    dataset: Dataset,
-    batch_size: int = 256,
+    dataset: SequenceDataset,
+    batch_size: int = 64,
 ) -> EvalResult:
-    """Argmax next-access accuracy of both heads over a dataset."""
-    n = len(dataset)
-    page_preds = np.empty(n, dtype=np.int64)
-    off_preds = np.empty(n, dtype=np.int64)
-    for start in range(0, n, batch_size):
-        sl = slice(start, min(start + batch_size, n))
-        pg, off = model.predict(
+    """Argmax next-access accuracy of both heads over a sequence dataset.
+
+    Runs :meth:`~voyager.model.HierarchicalModel.forward_sequence` over
+    every segment from a zero state — the view training and stateful
+    simulation share — and takes the argmax of both heads at every
+    timestep.  Each distinct trace position counts once: where the
+    tail segment overlaps its predecessor, the earlier segment's
+    prediction (the one with more context) is kept.
+
+    A prediction "covers" when each head's argmax is one of that
+    position's labels (a slot with ``label_weights > 0``).  Segments
+    run ``batch_size`` at a time to bound the ``(B, T, vocab)`` output.
+    """
+    page_preds = np.empty(dataset.positions.shape, dtype=np.int64)
+    off_preds = np.empty(dataset.positions.shape, dtype=np.int64)
+    for start in range(0, len(dataset), batch_size):
+        sl = slice(start, start + batch_size)
+        page_probs, off_probs, _, _ = model.forward_sequence(
             dataset.pc_ids[sl], dataset.page_ids[sl], dataset.offset_ids[sl]
         )
-        page_preds[sl] = pg
-        off_preds[sl] = off
+        page_preds[sl] = page_probs.argmax(axis=-1)
+        off_preds[sl] = off_probs.argmax(axis=-1)
+    # np.unique's return_index is the first occurrence in row-major
+    # order, i.e. the earliest segment covering each position.
+    _, first = np.unique(dataset.positions.reshape(-1), return_index=True)
+    page_preds = page_preds.reshape(-1)[first]
+    off_preds = off_preds.reshape(-1)[first]
+    L = dataset.label_weights.shape[-1]
+    labelled = dataset.label_weights.reshape(-1, L)[first] > 0
+    label_pages = dataset.label_page_ids.reshape(-1, L)[first]
+    label_offsets = dataset.label_offsets.reshape(-1, L)[first]
 
-    page_ok = page_preds == dataset.next_page_ids
-    off_ok = off_preds == dataset.next_offsets
-    # A prediction "covers" when the predicted (page, offset) pair has
-    # non-zero mass in the multi-label target distribution.
-    rows = np.arange(n)
-    covered = (dataset.page_targets[rows, page_preds] > 0) & (
-        dataset.offset_targets[rows, off_preds] > 0
-    )
+    # Slot 0 is the true next access (always valid, see label_arrays).
+    page_ok = page_preds == label_pages[:, 0]
+    off_ok = off_preds == label_offsets[:, 0]
+    covered = (labelled & (label_pages == page_preds[:, None])).any(1) & (
+        labelled & (label_offsets == off_preds[:, None])
+    ).any(1)
     return EvalResult(
         page_accuracy=float(page_ok.mean()),
         offset_accuracy=float(off_ok.mean()),
         full_accuracy=float((page_ok & off_ok).mean()),
         label_coverage=float(covered.mean()),
-        n=n,
+        n=int(first.size),
     )
 
 
@@ -96,12 +114,11 @@ def simulate_model(
 
     The prefetcher runs on the cache-free inference engine, batched
     over the whole trace by its ``offline_candidates`` hook.
-    ``dtype=np.float32`` opts into the faster approximate mode; the
-    float64 default is bit-identical to the training-mode forward.
-    ``inference`` must match the model's training mode: ``"window"``
-    for window-trained models, ``"stateful"`` (with the training
-    ``seq_len``) for sequence-trained ones — see
-    :class:`~voyager.sim.NeuralPrefetcher`.
+    ``dtype=np.float32`` opts into the faster approximate mode.
+    ``inference`` should match how the weights were trained:
+    ``"stateful"`` with the training ``seq_len`` for models trained by
+    :func:`voyager.train.train`, ``"window"`` for older window-trained
+    checkpoints — see :class:`~voyager.sim.NeuralPrefetcher`.
     """
     prefetcher = NeuralPrefetcher(
         model,

@@ -1,9 +1,10 @@
 """Fast inference engine: incremental LSTM state, cache-free, batched.
 
-Training-mode :meth:`~voyager.model.HierarchicalModel.forward` builds
-the full backprop cache (per-step gate dicts, attention tensors) on
-every call — exactly what a simulator hot path must not pay.  This
-module is the inference-only counterpart:
+The training forward
+(:meth:`~voyager.model.HierarchicalModel.forward_sequence`) builds the
+full backprop cache (per-step gate activations, attention tensors) and
+both heads' softmax at every timestep — exactly what a simulator hot
+path must not pay.  This module is the inference-only counterpart:
 
 - :class:`LSTMState` — an explicit ``(h, c)`` pair that can be carried
   incrementally, snapshotted, and advanced one access at a time;
@@ -14,11 +15,11 @@ module is the inference-only counterpart:
   (cheapest: one LSTM step per lookahead step), while
   :meth:`~InferenceEngine.rollout_window` replays the trained
   fixed-length window per step over *precomputed features* — the mode
-  the simulator uses for window-trained models, because a model only
-  ever trained on ``history``-step windows from a zero state drifts
-  badly when a state is continued past that horizon.  Sequence-trained
-  models (``train(mode="sequence")``) are the opposite: they learn on
-  long carried-state segments, so for them
+  the serving layer runs, and the one older window-trained checkpoints
+  need, because a model only ever trained on ``history``-step windows
+  from a zero state drifts badly when a state is continued past that
+  horizon.  Models trained by :func:`voyager.train.train` are the
+  opposite: they learn on long carried-state segments, so for them
   :meth:`~InferenceEngine.segment_states` reconstructs every trace
   position's carried state in one batched scan (resetting every
   ``seq_len`` accesses, mirroring the training segmentation) and
@@ -34,13 +35,16 @@ module is the inference-only counterpart:
 Equivalence guarantee: with ``dtype=np.float64`` (the default) the
 engine shares the model's parameter arrays and performs the same
 operations in the same order as the training forward, so
-:meth:`InferenceEngine.state_from_history` followed by
-:meth:`InferenceEngine.logits` reproduces ``model.forward`` logits
-**bit-exactly**; feeding a window one access at a time through
-:meth:`InferenceEngine.step` reproduces the same state bit-exactly;
-and :meth:`InferenceEngine.rollout_window` over gathered features is
-bit-exact to forwarding each slid pseudo-window from scratch.  The
-property tests in ``tests/test_infer.py`` pin all three.
+:meth:`InferenceEngine.state_from_history` reproduces the final
+``(h, c)`` of ``forward_sequence`` run over the same window from a
+zero state **bit-exactly**, and :meth:`InferenceEngine.logits` on it
+equals :func:`voyager.model.head_logits` on that state; feeding a
+window one access at a time through :meth:`InferenceEngine.step`
+reproduces the same state bit-exactly; and
+:meth:`InferenceEngine.rollout_window` over gathered features is
+bit-exact to running each slid pseudo-window through
+``forward_sequence`` from scratch and applying the heads to its final
+state.  The property tests in ``tests/test_infer.py`` pin all three.
 """
 
 from __future__ import annotations
@@ -232,7 +236,7 @@ class InferenceEngine:
         streams) and feeds each row through here reproduces serial
         :meth:`step` bit for bit.
         """
-        # Same association as voyager.model.lstm_step:
+        # Same association as HierarchicalModel.forward_sequence:
         # (x @ w_x + h @ w_h) + b, with in-place adds.
         a = self._mm(x_t, self.params["w_x"])
         a += self._mm(state.h, self.params["w_h"])
@@ -268,7 +272,7 @@ class InferenceEngine:
         state = self.init_state(ax.shape[0])
         h, c = state.h, state.c
         for t in range(ax.shape[1]):
-            # Same association as voyager.model.lstm_step_projected:
+            # Same association as HierarchicalModel.forward_sequence:
             # (ax + h @ w_h) + b.
             a = ax[:, t, :] + self._mm(h, self.params["w_h"])
             a += self.params["b_lstm"]
@@ -430,8 +434,8 @@ class InferenceEngine:
         Each lookahead step slides the feature window one position —
         dropping the oldest access, appending the feature of the
         prediction just made (PC slot repeats ``pc_ids``) — and re-runs
-        the LSTM over the slid window from a zero state, exactly as the
-        model saw every window during training.  Because window
+        the LSTM over the slid window from a zero state, the way a
+        window-trained model saw every window.  Because window
         *features* have no recurrence they are computed once (here,
         gathered; new pseudo-accesses embed once via
         :meth:`feature_step`), and because the LSTM's input projection
@@ -447,8 +451,8 @@ class InferenceEngine:
 
         Bit-exactness: the emitted predictions equal forwarding each
         slid pseudo-window from scratch at the same batch width (the
-        projection hoist preserves the cell's summation order; see
-        :func:`voyager.model.lstm_step_projected`).
+        projection hoist preserves the cell's summation order,
+        ``(x @ w_x + h @ w_h) + b``).
 
         Returns ``(pages, offsets, valid)`` with the same shape and OOV
         semantics as :meth:`rollout`.  ``feats`` is not mutated.

@@ -518,10 +518,10 @@ class NeuralPrefetcher:
     """Adapts a trained :class:`HierarchicalModel` to the sim protocol.
 
     Drives a cache-free :class:`~voyager.infer.InferenceEngine` instead
-    of the training forward, in one of two inference modes matching the
-    two training modes (:func:`voyager.train.train`):
+    of the training forward, in one of two inference modes:
 
-    - ``inference="window"`` (default, for ``mode="window"`` models):
+    - ``inference="window"`` (default; the serving layer's mode and the
+      recipe older window-trained checkpoints were trained for):
       keeps a sliding window of the last ``history`` accesses (encoded
       through the training vocabularies).  ``update`` embeds+attends
       each observed access exactly once (features carry no recurrence);
@@ -533,15 +533,16 @@ class NeuralPrefetcher:
       window-trained model sees exclusively ``history``-step windows
       from a zero state, so replaying the slid window is what keeps its
       multi-step predictions in distribution.
-    - ``inference="stateful"`` (for ``mode="sequence"`` models): the
-      LSTM state is carried across accesses and reset every ``seq_len``
-      accesses — the segmentation ``build_sequence_dataset`` trains on.
+    - ``inference="stateful"`` (for models trained by
+      :func:`voyager.train.train`): the LSTM state is carried across
+      accesses and reset every ``seq_len`` accesses — the segmentation
+      ``build_sequence_dataset`` trains on.
       ``update`` is one cell step; ``prefetch`` continues the carried
       state with the engine's cheap state-continuation rollout (one
       cell step per lookahead step, no window replay).  Carried state
       *is* a sequence-trained model's training distribution; replaying
       zero-state windows under it measurably degrades accuracy, which
-      is why the mode must match the training mode.
+      is why the mode should match how the weights were trained.
 
     The candidate list is temporally ordered — candidate ``k`` is the
     model's guess for the access ``k + 1`` steps ahead — matching the
@@ -559,8 +560,9 @@ class NeuralPrefetcher:
     untouched, so an instance can be simulated and then streamed.
 
     Float32 mode (``dtype=np.float32``) trades bit-exactness for
-    roughly halved memory traffic; float64 (default) predictions are
-    bit-identical to the training-mode forward.
+    roughly halved memory traffic; float64 (default) runs the model's
+    own arithmetic (see :mod:`voyager.infer` for the bit-exactness
+    contracts).
     """
 
     name = "neural"

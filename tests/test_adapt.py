@@ -176,7 +176,7 @@ def _seed_checkpoint(tmp_path, trace, name="base"):
     dataset = build_sequence_dataset(
         trace, seq_len=8, pc_vocab=pc_vocab, page_vocab=page_vocab
     )
-    train(model, dataset, steps=5, batch_size=4, seed=0, mode="sequence")
+    train(model, dataset, steps=5, batch_size=4, seed=0)
     prefix = tmp_path / name
     save_checkpoint(prefix, model, pc_vocab, page_vocab)
     return prefix

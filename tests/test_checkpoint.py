@@ -13,14 +13,14 @@ from voyager.model import (
     save_checkpoint,
 )
 from voyager.synthetic import page_cycle_trace
-from voyager.train import build_dataset, train
+from voyager.train import build_sequence_dataset, train
 from voyager.vocab import Vocab
 
 
 @pytest.fixture(scope="module")
 def trained():
     trace = page_cycle_trace(300)
-    dataset = build_dataset(trace, history=8)
+    dataset = build_sequence_dataset(trace, seq_len=32)
     config = ModelConfig(
         pc_vocab_size=dataset.pc_vocab.size,
         page_vocab_size=dataset.page_vocab.size,
@@ -30,7 +30,7 @@ def trained():
         seed=0,
     )
     model = HierarchicalModel(config)
-    train(model, dataset, steps=30, batch_size=32, lr=1e-2, seed=0)
+    train(model, dataset, steps=30, batch_size=16, lr=1e-2, seed=0, tbptt=8)
     return model, dataset
 
 
@@ -43,15 +43,13 @@ def test_round_trip_predictions_bit_identical(trained, tmp_path):
     for name, value in model.params.items():
         assert np.array_equal(loaded.params[name], value), name
 
-    batch = slice(0, 64)
-    orig_pages, orig_offs = model.predict(
-        dataset.pc_ids[batch], dataset.page_ids[batch], dataset.offset_ids[batch]
-    )
-    new_pages, new_offs = loaded.predict(
-        dataset.pc_ids[batch], dataset.page_ids[batch], dataset.offset_ids[batch]
-    )
-    assert np.array_equal(orig_pages, new_pages)
-    assert np.array_equal(orig_offs, new_offs)
+    ids = (dataset.pc_ids, dataset.page_ids, dataset.offset_ids)
+    orig_page_p, orig_off_p, _, orig_state = model.forward_sequence(*ids)
+    new_page_p, new_off_p, _, new_state = loaded.forward_sequence(*ids)
+    assert np.array_equal(orig_page_p, new_page_p)
+    assert np.array_equal(orig_off_p, new_off_p)
+    for orig, new in zip(orig_state, new_state):
+        assert np.array_equal(orig, new)
 
 
 def test_round_trip_vocabs_preserve_ids(trained, tmp_path):

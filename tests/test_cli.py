@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from voyager import cli as cli_mod
 from voyager.bench import BENCH_SCHEMA_VERSION, validate_report
 from voyager.cli import main
+from voyager.eval import simulate_model
+from voyager.model import load_checkpoint
 from voyager.traces import parse_trace
 
 
@@ -111,62 +114,98 @@ def test_train_save_then_simulate_checkpoint(stride_trace_file, tmp_path, capsys
     assert "prefetcher=neural" in out and "coverage=" in out
 
 
-def test_sequence_train_then_stateful_simulate(tmp_path, capsys):
+@pytest.fixture
+def saved_checkpoint(tmp_path, capsys):
+    """A page_cycle trace and a ``train --seq-len 16 --save`` checkpoint."""
     trace_path = tmp_path / "pc.txt"
     assert main(["gen", "page_cycle", "--out", str(trace_path), "-n", "400"]) == 0
     prefix = tmp_path / "ckpt" / "model"
-    rc = main(
-        _train_args(
-            trace_path,
-            [
-                "--train-mode",
-                "sequence",
-                "--seq-len",
-                "16",
-                "--save",
-                str(prefix),
-            ],
-        )
-    )
+    rc = main(_train_args(trace_path, ["--seq-len", "16", "--save", str(prefix)]))
     assert rc == 0
     capsys.readouterr()
+    return trace_path, prefix
 
-    rc = main(
-        [
-            "simulate",
-            "--trace",
-            str(trace_path),
-            "--checkpoint",
-            str(prefix),
-            "--inference",
-            "stateful",
-            "--inference-seq-len",
-            "16",
-        ]
+
+def _simulate_checkpoint(trace_path, prefix, capsys):
+    argv = ["simulate", "--trace", str(trace_path), "--checkpoint", str(prefix)]
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def _expected_sim_output(trace_path, prefix, capsys, **inference):
+    """What ``simulate`` prints for the checkpoint under ``inference``."""
+    argv = ["simulate", "--trace", str(trace_path), "--checkpoint", str(prefix)]
+    model, pc_vocab, page_vocab = load_checkpoint(prefix)
+    result = simulate_model(
+        model,
+        pc_vocab,
+        page_vocab,
+        parse_trace(trace_path),
+        cli_mod._sim_config(cli_mod.build_parser().parse_args(argv)),
+        **inference,
     )
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "prefetcher=neural" in out
+    cli_mod._print_sim_result(result)
+    return capsys.readouterr().out
+
+
+_DELETE = object()
+
+
+def _rewrite_meta(prefix, **fields):
+    """Edit checkpoint metadata in place (``_DELETE`` drops a key)."""
+    meta_path = prefix.with_suffix(".vocab.json")
+    meta = json.loads(meta_path.read_text())
+    for key, value in fields.items():
+        if value is _DELETE:
+            del meta[key]
+        else:
+            meta[key] = value
+    meta_path.write_text(json.dumps(meta))
+
+
+def test_sequence_train_then_stateful_simulate(saved_checkpoint, capsys):
+    """simulate reads the inference mode from the checkpoint: a trained
+    checkpoint runs statefully with its saved seq_len."""
+    trace_path, prefix = saved_checkpoint
+    meta = json.loads(prefix.with_suffix(".vocab.json").read_text())
+    assert meta["train_mode"] == "sequence" and meta["seq_len"] == 16
+
+    out = _simulate_checkpoint(trace_path, prefix, capsys)
+    stateful = _expected_sim_output(
+        trace_path, prefix, capsys, inference="stateful", seq_len=16
+    )
+    window = _expected_sim_output(trace_path, prefix, capsys, inference="window")
+    assert out == stateful
+    assert stateful != window  # the mode choice is visible in the counters
     coverage = float(out.split("coverage=")[1].split()[0])
     assert coverage > 0.0
 
 
-def test_simulate_stateful_without_checkpoint_is_clean_error(
-    stride_trace_file, capsys
+@pytest.mark.parametrize("train_mode", ["window", None])
+def test_simulate_window_checkpoint_replays_windows(
+    saved_checkpoint, capsys, train_mode
 ):
-    rc = main(
-        [
-            "simulate",
-            "--trace",
-            str(stride_trace_file),
-            "--prefetcher",
-            "next_line",
-            "--inference",
-            "stateful",
-        ]
+    """Checkpoints saved as window-trained (or without a mode, from
+    older saves) keep zero-state window replay."""
+    trace_path, prefix = saved_checkpoint
+    _rewrite_meta(prefix, train_mode=train_mode)
+    out = _simulate_checkpoint(trace_path, prefix, capsys)
+    assert out == _expected_sim_output(
+        trace_path, prefix, capsys, inference="window"
     )
-    assert rc == 1
-    assert "--checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seq_len", [_DELETE, None, 0, -3, "16", 16.0, True])
+def test_simulate_sequence_checkpoint_bad_seq_len_is_clean_error(
+    saved_checkpoint, capsys, seq_len
+):
+    trace_path, prefix = saved_checkpoint
+    _rewrite_meta(prefix, seq_len=seq_len)
+    argv = ["simulate", "--trace", str(trace_path), "--checkpoint", str(prefix)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "seq_len" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_simulate_missing_checkpoint_is_clean_error(
@@ -225,7 +264,6 @@ def test_simulate_none_reproduces_baseline_miss_rate(stride_trace_file, capsys):
 # ----------------------------------------------------------------------
 def test_bench_cmd_tiny_profile(tmp_path, capsys, monkeypatch):
     """Fast-tier bench coverage: shrink the smoke profile, same code path."""
-    import voyager.cli as cli_mod
     from voyager.bench import BenchProfile
 
     tiny = BenchProfile(

@@ -40,7 +40,7 @@ from voyager.model import HierarchicalModel, ModelConfig
 from voyager.sim import NeuralPrefetcher, SimConfig, make_prefetcher, simulate
 from voyager.synthetic import generate
 from voyager.traces import MemoryAccess
-from voyager.train import build_dataset
+from voyager.train import build_vocabs
 from voyager.vocab import Vocab
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -59,18 +59,18 @@ def distill_setup(workload: str = "stride", n: int = 300, seed: int = 0):
     suite fast.
     """
     trace = generate(workload, n, seed=seed)
-    dataset = build_dataset(trace, history=HISTORY)
+    pc_vocab, page_vocab = build_vocabs(trace)
     model = HierarchicalModel(
         ModelConfig(
-            pc_vocab_size=dataset.pc_vocab.size,
-            page_vocab_size=dataset.page_vocab.size,
+            pc_vocab_size=pc_vocab.size,
+            page_vocab_size=page_vocab.size,
             embed_dim=4,
             hidden_dim=6,
             history=HISTORY,
             seed=seed,
         )
     )
-    return model, dataset.pc_vocab, dataset.page_vocab, trace
+    return model, pc_vocab, page_vocab, trace
 
 
 def engine_rollouts(model, pc_vocab, page_vocab, trace, k):

@@ -5,6 +5,10 @@ Perf refactors of the model/training code must reproduce these numbers
 them *intentionally* — e.g. a better init or labeling tweak — update
 the constants here in the same PR and say why in the commit message.
 
+The recipe is the repo's one training path: truncated BPTT over
+32-access segments (TBPTT 8, cosine schedule), evaluated by
+:func:`voyager.eval.evaluate` over the same segments from a zero state.
+
 Reference values computed with NumPy 2.4 on x86-64.
 """
 
@@ -13,84 +17,17 @@ import pytest
 from voyager.eval import evaluate
 from voyager.model import HierarchicalModel, ModelConfig
 from voyager.synthetic import page_cycle_trace
-from voyager.train import build_dataset, train
+from voyager.train import build_sequence_dataset, train
 
-GOLDEN_FIRST_LOSS = 5.765681238901324
-GOLDEN_FINAL_LOSS = 3.6252620228621697
-GOLDEN_PAGE_ACC = 0.9828767123287672
-GOLDEN_OFFSET_ACC = 0.684931506849315
+GOLDEN_SEQ_FIRST_LOSS = 5.761443301917691
+GOLDEN_SEQ_FINAL_LOSS = 3.5613727423706654
+# Over all 299 supervised positions, each counted once.
+GOLDEN_SEQ_PAGE_ACC = 0.9966555183946488
+GOLDEN_SEQ_OFFSET_ACC = 0.8193979933110368
 # Loose tolerance absorbs BLAS/platform float reassociation; it is still
 # ~1000x tighter than any semantic change would move these numbers.
 LOSS_TOL = 1e-6
 ACC_TOL = 1e-9
-
-
-@pytest.fixture(scope="module")
-def golden_run():
-    trace = page_cycle_trace(300)
-    dataset = build_dataset(trace, history=8)
-    config = ModelConfig(
-        pc_vocab_size=dataset.pc_vocab.size,
-        page_vocab_size=dataset.page_vocab.size,
-        embed_dim=8,
-        hidden_dim=16,
-        history=8,
-        seed=0,
-    )
-    model = HierarchicalModel(config)
-    result = train(model, dataset, steps=60, batch_size=32, lr=1e-2, seed=0)
-    return model, dataset, result
-
-
-def test_golden_first_loss(golden_run):
-    _, _, result = golden_run
-    assert result.losses[0] == pytest.approx(GOLDEN_FIRST_LOSS, rel=LOSS_TOL)
-
-
-def test_golden_final_loss(golden_run):
-    _, _, result = golden_run
-    assert result.final_loss == pytest.approx(GOLDEN_FINAL_LOSS, rel=LOSS_TOL)
-
-
-def test_golden_accuracies(golden_run):
-    model, dataset, _ = golden_run
-    metrics = evaluate(model, dataset)
-    assert metrics.page_accuracy == pytest.approx(GOLDEN_PAGE_ACC, abs=ACC_TOL)
-    assert metrics.offset_accuracy == pytest.approx(
-        GOLDEN_OFFSET_ACC, abs=ACC_TOL
-    )
-
-
-def test_golden_run_is_reproducible(golden_run):
-    """Re-running the identical recipe reproduces the loss bit-for-bit."""
-    _, _, first = golden_run
-    trace = page_cycle_trace(300)
-    dataset = build_dataset(trace, history=8)
-    config = ModelConfig(
-        pc_vocab_size=dataset.pc_vocab.size,
-        page_vocab_size=dataset.page_vocab.size,
-        embed_dim=8,
-        hidden_dim=16,
-        history=8,
-        seed=0,
-    )
-    model = HierarchicalModel(config)
-    rerun = train(model, dataset, steps=60, batch_size=32, lr=1e-2, seed=0)
-    assert rerun.losses == first.losses
-
-
-# ----------------------------------------------------------------------
-# sequence-mode goldens (truncated BPTT, cosine schedule)
-# ----------------------------------------------------------------------
-from voyager.train import build_sequence_dataset  # noqa: E402
-
-GOLDEN_SEQ_FIRST_LOSS = 5.761443301917691
-GOLDEN_SEQ_FINAL_LOSS = 3.5613727423706654
-# Same trace + update budget as the window goldens above; the sequence
-# recipe supervises every timestep and lands strictly better: page
-# accuracy 1.0 vs 0.9829, offset 0.7055 vs 0.6849.
-GOLDEN_SEQ_PAGE_ACC = 1.0
-GOLDEN_SEQ_OFFSET_ACC = 0.7054794520547946
 
 
 def _seq_golden_recipe():
@@ -125,7 +62,6 @@ def golden_seq_run():
 
 def test_golden_sequence_losses(golden_seq_run):
     _, _, _, result = golden_seq_run
-    assert result.mode == "sequence"
     assert result.losses[0] == pytest.approx(
         GOLDEN_SEQ_FIRST_LOSS, rel=LOSS_TOL
     )
@@ -135,16 +71,8 @@ def test_golden_sequence_losses(golden_seq_run):
 
 
 def test_golden_sequence_accuracies(golden_seq_run):
-    trace, model, dataset, _ = golden_seq_run
-    from voyager.train import build_dataset as _build_window
-
-    eval_ds = _build_window(
-        trace,
-        history=8,
-        pc_vocab=dataset.pc_vocab,
-        page_vocab=dataset.page_vocab,
-    )
-    metrics = evaluate(model, eval_ds)
+    _, model, dataset, _ = golden_seq_run
+    metrics = evaluate(model, dataset)
     assert metrics.page_accuracy == pytest.approx(
         GOLDEN_SEQ_PAGE_ACC, abs=ACC_TOL
     )

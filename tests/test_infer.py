@@ -1,21 +1,22 @@
 """Inference-engine tests: bit-exact equivalence, no backprop cache.
 
 The engine's contract is arithmetic, not approximate: in float64 the
-cache-free incremental path must reproduce the training-mode forward
+cache-free incremental path must reproduce the state of the training
+forward (``forward_sequence`` over the same window from a zero state)
 bit for bit (see :mod:`voyager.infer`).  The property tests here drive
 that over randomly drawn models and windows; the cache tests prove the
-simulator hot path never touches ``model.forward``.
+simulator hot path never touches the training forward.
 """
 
 import numpy as np
 import pytest
 
 from voyager.infer import InferenceEngine, LSTMState, _rowwise_matmul
-from voyager.model import HierarchicalModel, ModelConfig
+from voyager.model import HierarchicalModel, ModelConfig, head_logits
 from voyager.sim import NeuralPrefetcher, SimConfig, simulate
 from voyager.synthetic import page_cycle_trace
 from voyager.traces import NUM_OFFSETS
-from voyager.train import build_dataset
+from voyager.train import build_sequence_dataset
 from voyager.vocab import OOV_ID
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -23,19 +24,25 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
-def tiny_model(seed: int = 1) -> HierarchicalModel:
+def tiny_model(seed: int = 1, embed: int = 3, hidden: int = 4, history: int = 3):
     return HierarchicalModel(
         ModelConfig(
             pc_vocab_size=5,
             page_vocab_size=6,
             num_offsets=8,
-            embed_dim=3,
-            hidden_dim=4,
-            history=3,
+            embed_dim=embed,
+            hidden_dim=hidden,
+            history=history,
             attention_candidates=2,
             seed=seed,
         )
     )
+
+
+def sequence_state(model: HierarchicalModel, pc, page, off):
+    """Final ``(h, c)`` of the training forward over each window."""
+    _, _, _, (h, c) = model.forward_sequence(pc, page, off)
+    return h, c
 
 
 def random_windows(model: HierarchicalModel, B: int, seed: int):
@@ -55,20 +62,27 @@ def random_windows(model: HierarchicalModel, B: int, seed: int):
 @given(
     model_seed=st.integers(min_value=0, max_value=50),
     data_seed=st.integers(min_value=0, max_value=1_000_000),
-    B=st.integers(min_value=1, max_value=5),
+    B=st.sampled_from([1, 2, 3, 8, 64, 257]),
+    dims=st.sampled_from([(4, 8, 4), (8, 16, 8), (16, 32, 8)]),
 )
-def test_window_state_matches_forward_bit_exactly(model_seed, data_seed, B):
-    """Cache-free full-window state == training forward, bit for bit."""
-    model = tiny_model(model_seed)
+def test_window_state_matches_forward_bit_exactly(model_seed, data_seed, B, dims):
+    """Cache-free full-window state == ``forward_sequence``'s final state
+    from zero, bit for bit, at every batch width (gemv at B=1, gemm
+    above) and model size; the engine's logits are the heads applied to
+    that state."""
+    embed, hidden, history = dims
+    model = tiny_model(model_seed, embed, hidden, history)
     pc, page, off = random_windows(model, B, data_seed)
-    page_probs, off_probs, cache = model.forward(pc, page, off)
+    h, c = sequence_state(model, pc, page, off)
 
     eng = InferenceEngine(model)
     state = eng.state_from_history(pc, page, off)
-    np.testing.assert_array_equal(state.h, cache["h_final"])
-    eng_page, eng_off = eng.probs(state)
-    np.testing.assert_array_equal(eng_page, page_probs)
-    np.testing.assert_array_equal(eng_off, off_probs)
+    np.testing.assert_array_equal(state.h, h)
+    np.testing.assert_array_equal(state.c, c)
+    eng_page, eng_off = eng.logits(state)
+    ref_page, ref_off = head_logits(model.params, h)
+    np.testing.assert_array_equal(eng_page, ref_page)
+    np.testing.assert_array_equal(eng_off, ref_off)
 
 
 @settings(max_examples=40)
@@ -81,13 +95,14 @@ def test_incremental_steps_match_forward_bit_exactly(model_seed, data_seed, B):
     """Feeding a window one access at a time == training forward."""
     model = tiny_model(model_seed)
     pc, page, off = random_windows(model, B, data_seed)
-    _, _, cache = model.forward(pc, page, off)
+    h, c = sequence_state(model, pc, page, off)
 
     eng = InferenceEngine(model)
     state = eng.init_state(B)
     for t in range(model.config.history):
         state = eng.step(state, pc[:, t], page[:, t], off[:, t])
-    np.testing.assert_array_equal(state.h, cache["h_final"])
+    np.testing.assert_array_equal(state.h, h)
+    np.testing.assert_array_equal(state.c, c)
 
     full_logits = eng.logits(eng.state_from_history(pc, page, off))
     inc_logits = eng.logits(state)
@@ -107,9 +122,10 @@ def test_rollout_window_matches_slid_full_forwards(
     """Feature-cached window replay == forwarding every slid window.
 
     The reference slides the raw id windows (drop oldest, append the
-    prediction, PC repeats the last column) and runs the full training
-    forward from scratch each step — the semantics the feature-gather
-    fast path must reproduce bit-exactly, OOV masking included.
+    prediction, PC repeats the last column), runs the training forward
+    over each from a zero state and applies the heads to its final
+    state — the semantics the feature-gather fast path must reproduce
+    bit-exactly, OOV masking included.
     """
     model = tiny_model(model_seed)
     pc, page, off = random_windows(model, B, data_seed)
@@ -121,9 +137,10 @@ def test_rollout_window_matches_slid_full_forwards(
     ref_pc, ref_page, ref_off = pc.copy(), page.copy(), off.copy()
     alive = np.ones(B, dtype=bool)
     for j in range(steps):
-        probs_page, probs_off, _ = model.forward(ref_pc, ref_page, ref_off)
-        pid = probs_page.argmax(axis=-1)
-        oid = probs_off.argmax(axis=-1)
+        h, _ = sequence_state(model, ref_pc, ref_page, ref_off)
+        logits_page, logits_off = head_logits(model.params, h)
+        pid = logits_page.argmax(axis=-1)
+        oid = logits_off.argmax(axis=-1)
         alive = alive & (pid != OOV_ID)
         if not alive.any():
             np.testing.assert_array_equal(valid[:, j:], False)
@@ -239,7 +256,7 @@ def test_lstm_state_copy_is_independent():
 @pytest.fixture(scope="module")
 def small_fit():
     trace = page_cycle_trace(300)
-    dataset = build_dataset(trace, history=8)
+    dataset = build_sequence_dataset(trace, seq_len=32)
     model = HierarchicalModel(
         ModelConfig(
             pc_vocab_size=dataset.pc_vocab.size,
@@ -254,20 +271,20 @@ def small_fit():
 
 
 def test_prefetcher_never_calls_training_forward(small_fit, monkeypatch):
-    """Streaming and offline-candidate simulation run with ``forward``
-    disabled.
+    """Streaming and offline-candidate simulation run with the training
+    forward disabled.
 
-    ``model.forward`` is the only entry point that allocates the
-    backprop cache, so poisoning it proves the whole simulator hot path
-    is cache-free.
+    ``forward_sequence`` (and ``loss_and_grads_sequence`` through it)
+    is the only entry point that allocates the backprop cache, so
+    poisoning it proves the whole simulator hot path is cache-free.
     """
     trace, model, dataset = small_fit
 
     def boom(*args, **kwargs):  # pragma: no cover - must never run
-        raise AssertionError("simulator hot path called model.forward")
+        raise AssertionError("simulator hot path called the training forward")
 
-    monkeypatch.setattr(model, "forward", boom)
-    monkeypatch.setattr(model, "loss_and_grads", boom)
+    monkeypatch.setattr(model, "forward_sequence", boom)
+    monkeypatch.setattr(model, "loss_and_grads_sequence", boom)
 
     pf = NeuralPrefetcher(model, dataset.pc_vocab, dataset.page_vocab)
     for access in trace[:20]:

@@ -24,7 +24,7 @@ from voyager.sim import (
     simulate,
 )
 from voyager.synthetic import WORKLOADS, generate
-from voyager.train import build_dataset, train
+from voyager.train import build_sequence_dataset, train
 
 
 # ----------------------------------------------------------------------
@@ -142,7 +142,7 @@ def test_kernel_matches_streaming_for_baselines(workload, kind):
 @pytest.fixture(scope="module")
 def tiny_neural():
     trace = generate("stride", 400, seed=5)
-    dataset = build_dataset(trace, history=8, label_config=LabelConfig())
+    dataset = build_sequence_dataset(trace, seq_len=32, label_config=LabelConfig())
     model = HierarchicalModel(
         ModelConfig(
             pc_vocab_size=dataset.pc_vocab.size,
@@ -153,7 +153,7 @@ def tiny_neural():
             seed=5,
         )
     )
-    train(model, dataset, steps=15, batch_size=16, seed=5)
+    train(model, dataset, steps=15, batch_size=16, seed=5, tbptt=8)
     return trace, model, dataset
 
 

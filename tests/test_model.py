@@ -1,8 +1,13 @@
-"""Model-layer tests: distribution validity, determinism, gradients."""
+"""Model-layer tests: distribution validity, determinism, numerics.
+
+The sequence forward's gradients are checked against central
+differences in ``test_sequence_train.py``.
+"""
 
 import numpy as np
 import pytest
 
+from voyager.infer import InferenceEngine
 from voyager.model import (
     HierarchicalModel,
     ModelConfig,
@@ -36,16 +41,16 @@ def tiny_batch(seed: int = 2, B: int = 4, H: int = 3):
 def test_output_distributions_sum_to_one():
     model = HierarchicalModel(tiny_config())
     pc, page, off = tiny_batch()
-    page_probs, off_probs, _ = model.forward(pc, page, off)
-    np.testing.assert_allclose(page_probs.sum(axis=1), 1.0, rtol=1e-12)
-    np.testing.assert_allclose(off_probs.sum(axis=1), 1.0, rtol=1e-12)
+    page_probs, off_probs, _, _ = model.forward_sequence(pc, page, off)
+    np.testing.assert_allclose(page_probs.sum(axis=-1), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(off_probs.sum(axis=-1), 1.0, rtol=1e-12)
     assert (page_probs >= 0).all() and (off_probs >= 0).all()
 
 
 def test_same_seed_same_outputs():
     pc, page, off = tiny_batch()
-    a = HierarchicalModel(tiny_config(seed=3)).forward(pc, page, off)
-    b = HierarchicalModel(tiny_config(seed=3)).forward(pc, page, off)
+    a = HierarchicalModel(tiny_config(seed=3)).forward_sequence(pc, page, off)
+    b = HierarchicalModel(tiny_config(seed=3)).forward_sequence(pc, page, off)
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
 
@@ -57,16 +62,17 @@ def test_different_seed_different_params():
 
 
 def test_wrong_history_length_rejected():
-    model = HierarchicalModel(tiny_config())
+    """Window inference replays exactly ``history`` accesses."""
+    engine = InferenceEngine(HierarchicalModel(tiny_config()))
     pc, page, off = tiny_batch(H=5)
     with pytest.raises(ValueError, match="history"):
-        model.forward(pc, page, off)
+        engine.state_from_history(pc, page, off)
 
 
 def test_predict_shapes_and_ranges():
-    model = HierarchicalModel(tiny_config())
+    engine = InferenceEngine(HierarchicalModel(tiny_config()))
     pc, page, off = tiny_batch(B=7)
-    pages, offsets = model.predict(pc, page, off)
+    pages, offsets = engine.predict(engine.state_from_history(pc, page, off))
     assert pages.shape == (7,) and offsets.shape == (7,)
     assert (pages < 6).all() and (offsets < 8).all()
 
@@ -114,53 +120,6 @@ def test_topk_from_logits_rejects_bad_k():
         topk_from_logits(logits, 0)
     with pytest.raises(ValueError, match="k must be"):
         topk_from_logits(logits, 5)
-
-
-def test_predict_topk_top1_matches_predict():
-    model = HierarchicalModel(tiny_config())
-    pc, page, off = tiny_batch(B=6)
-    pages, offsets = model.predict(pc, page, off)
-    top_pages, top_offsets = model.predict_topk(pc, page, off, 3)
-    assert top_pages.shape == (6, 3) and top_offsets.shape == (6, 3)
-    np.testing.assert_array_equal(top_pages[:, 0], pages)
-    np.testing.assert_array_equal(top_offsets[:, 0], offsets)
-
-
-def test_forward_nocache_matches_forward_state():
-    model = HierarchicalModel(tiny_config())
-    pc, page, off = tiny_batch(B=4)
-    _, _, cache = model.forward(pc, page, off)
-    h, _ = model.forward_nocache(pc, page, off)
-    np.testing.assert_array_equal(h, cache["h_final"])
-
-
-def test_gradients_match_numerical():
-    """Analytic backprop agrees with central differences end-to-end."""
-    model = HierarchicalModel(tiny_config())
-    pc, page, off = tiny_batch(B=2)
-    rng = np.random.default_rng(4)
-    page_t = rng.random((2, 6))
-    page_t /= page_t.sum(axis=1, keepdims=True)
-    off_t = rng.random((2, 8))
-    off_t /= off_t.sum(axis=1, keepdims=True)
-
-    _, grads = model.loss_and_grads(pc, page, off, page_t, off_t)
-    eps = 1e-6
-    for name, arr in model.params.items():
-        flat_indices = rng.choice(arr.size, size=min(4, arr.size), replace=False)
-        for flat in flat_indices:
-            ix = np.unravel_index(flat, arr.shape)
-            old = arr[ix]
-            arr[ix] = old + eps
-            lp, _ = model.loss_and_grads(pc, page, off, page_t, off_t)
-            arr[ix] = old - eps
-            lm, _ = model.loss_and_grads(pc, page, off, page_t, off_t)
-            arr[ix] = old
-            numeric = (lp - lm) / (2 * eps)
-            analytic = grads[name][ix]
-            assert numeric == pytest.approx(analytic, rel=1e-3, abs=1e-7), (
-                f"gradient mismatch in {name}{ix}"
-            )
 
 
 def test_project_features_fused_matches_per_column_loop():

@@ -20,7 +20,6 @@ from voyager.synthetic import page_cycle_trace
 from voyager.train import (
     SequenceDataset,
     batch_indices,
-    build_dataset,
     build_sequence_dataset,
     train,
 )
@@ -328,7 +327,7 @@ class TestSequenceGradients:
 
 
 # ----------------------------------------------------------------------
-# train(mode="sequence"): loop semantics
+# train: loop semantics
 # ----------------------------------------------------------------------
 def seq_fixture(n=200, seq_len=16):
     trace = page_cycle_trace(n)
@@ -356,12 +355,6 @@ class TestSequenceTraining:
                 model_a.params[name], model_b.params[name]
             )
 
-    def test_mode_is_inferred_and_recorded(self):
-        ds, model = seq_fixture()
-        result = train(model, ds, steps=2, batch_size=4)
-        assert result.mode == "sequence"
-        assert len(result.losses) == 2
-
     def test_loss_decreases_on_page_cycle(self):
         ds, model = seq_fixture(n=400, seq_len=32)
         result = train(model, ds, steps=40, batch_size=8, lr=0.02)
@@ -372,25 +365,6 @@ class TestSequenceTraining:
         ds, model = seq_fixture(n=200, seq_len=16)
         result = train(model, ds, steps=5, batch_size=4, tbptt=4)
         assert len(result.losses) == 5  # 4 chunks/segment, cut mid-segment
-
-    def test_mode_dataset_mismatch_rejected(self):
-        trace = page_cycle_trace(100)
-        window_ds = build_dataset(trace, history=8)
-        seq_ds = build_sequence_dataset(trace, seq_len=16)
-        model = HierarchicalModel(tiny_config())
-        with pytest.raises(TypeError, match="SequenceDataset"):
-            train(model, window_ds, mode="sequence")
-        with pytest.raises(TypeError, match="Dataset"):
-            train(model, seq_ds, mode="window")
-        with pytest.raises(ValueError, match="unknown mode"):
-            train(model, window_ds, mode="recurrent")
-
-    def test_tbptt_rejected_in_window_mode(self):
-        trace = page_cycle_trace(100)
-        window_ds = build_dataset(trace, history=8)
-        model = HierarchicalModel(tiny_config())
-        with pytest.raises(ValueError, match="tbptt"):
-            train(model, window_ds, steps=1, tbptt=4)
 
     def test_invalid_tbptt_rejected(self):
         ds, model = seq_fixture()
@@ -442,30 +416,9 @@ class TestSequenceTraining:
         ds, model = seq_fixture()
         assert train(model, ds, steps=2, batch_size=4).phases is None
 
-    def test_window_profile_reports_same_phase_keys(self):
-        trace = page_cycle_trace(100)
-        window_ds = build_dataset(trace, history=8)
-        config = ModelConfig(
-            pc_vocab_size=window_ds.pc_vocab.size,
-            page_vocab_size=window_ds.page_vocab.size,
-            embed_dim=8,
-            hidden_dim=16,
-            history=8,
-            seed=0,
-        )
-        model = HierarchicalModel(config)
-        result = train(model, window_ds, steps=3, profile=True)
-        assert set(result.phases) == {
-            "encode",
-            "labels",
-            "forward",
-            "backward",
-            "optimizer",
-        }
-
 
 # ----------------------------------------------------------------------
-# batch_indices edge cases (sequence loop shares the window sampler)
+# batch_indices edge cases
 # ----------------------------------------------------------------------
 class TestBatchIndicesEdgeCases:
     def test_batch_size_larger_than_n_clamps_every_step(self):

@@ -21,7 +21,7 @@ from voyager.sim import (
     simulate,
 )
 from voyager.synthetic import page_cycle_trace, random_walk_trace, stride_trace
-from voyager.train import build_dataset, train
+from voyager.train import build_sequence_dataset, train
 
 
 # ----------------------------------------------------------------------
@@ -213,7 +213,7 @@ def test_golden_simulation_counters(trace_factory, workload, kind):
 @pytest.fixture(scope="module")
 def trained_neural():
     trace = page_cycle_trace(400)
-    dataset = build_dataset(trace, history=8)
+    dataset = build_sequence_dataset(trace, seq_len=32)
     config = ModelConfig(
         pc_vocab_size=dataset.pc_vocab.size,
         page_vocab_size=dataset.page_vocab.size,
@@ -223,7 +223,7 @@ def trained_neural():
         seed=0,
     )
     model = HierarchicalModel(config)
-    train(model, dataset, steps=40, batch_size=32, lr=1e-2, seed=0)
+    train(model, dataset, steps=40, batch_size=16, lr=1e-2, seed=0, tbptt=8)
     return trace, model, dataset
 
 

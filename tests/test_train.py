@@ -11,46 +11,54 @@ import pytest
 from voyager.baselines import NextLinePrefetcher, evaluate_baseline
 from voyager.eval import accuracy, evaluate
 from voyager.model import HierarchicalModel, ModelConfig
-from voyager.train import batch_indices, build_dataset, build_vocabs, train
+from voyager.train import (
+    batch_indices,
+    build_sequence_dataset,
+    build_vocabs,
+    train,
+)
 
 
-def _fit(trace, steps=180, seed=0, history=8, hidden=32, embed=16):
-    dataset = build_dataset(trace, history=history)
+def _fit(trace, steps=180, seed=0, hidden=32, embed=16):
+    dataset = build_sequence_dataset(trace, seq_len=32)
     config = ModelConfig(
         pc_vocab_size=dataset.pc_vocab.size,
         page_vocab_size=dataset.page_vocab.size,
         embed_dim=embed,
         hidden_dim=hidden,
-        history=history,
         seed=seed,
     )
     model = HierarchicalModel(config)
-    result = train(model, dataset, steps=steps, batch_size=32, seed=seed)
+    result = train(
+        model, dataset, steps=steps, batch_size=16, seed=seed, tbptt=8
+    )
     return model, dataset, result
 
 
 class TestDataset:
     def test_shapes_and_alignment(self, stride_trace_small):
-        ds = build_dataset(stride_trace_small, history=8)
+        ds = build_sequence_dataset(stride_trace_small, seq_len=8)
         n = len(stride_trace_small)
-        assert len(ds) == n - 8
         assert ds.pc_ids.shape == ds.page_ids.shape == ds.offset_ids.shape
-        assert ds.pc_ids.shape == (n - 8, 8)
-        # Row b's history ends at trace position b+7; the offset column
-        # must therefore equal the raw trace offsets.
-        offsets = [a.offset for a in stride_trace_small]
-        assert list(ds.offset_ids[0]) == offsets[:8]
-        assert ds.next_offsets[0] == offsets[8]
+        assert ds.pc_ids.shape == (len(ds), 8)
+        # Timestep t of segment s is trace position positions[s, t];
+        # its primary label is the access that follows it.
+        offsets = np.array([a.offset for a in stride_trace_small])
+        np.testing.assert_array_equal(ds.offset_ids, offsets[ds.positions])
+        np.testing.assert_array_equal(
+            ds.label_offsets[:, :, 0], offsets[ds.positions + 1]
+        )
+        assert ds.positions.max() == n - 2
 
     def test_targets_are_distributions(self, page_cycle_trace_small):
-        ds = build_dataset(page_cycle_trace_small, history=8)
-        np.testing.assert_allclose(ds.page_targets.sum(axis=1), 1.0)
-        np.testing.assert_allclose(ds.offset_targets.sum(axis=1), 1.0)
+        ds = build_sequence_dataset(page_cycle_trace_small, seq_len=8)
+        np.testing.assert_allclose(ds.label_weights.sum(axis=-1), 1.0)
+        assert (ds.label_weights >= 0).all()
 
     def test_too_short_trace_rejected(self, trace_factory):
         tiny = trace_factory("stride", n=5)
         with pytest.raises(ValueError, match="too short"):
-            build_dataset(tiny, history=8)
+            build_sequence_dataset(tiny, seq_len=8)
 
     def test_build_vocabs_caps_respected(self, random_walk_trace_small):
         pc_vocab, page_vocab = build_vocabs(
@@ -73,9 +81,7 @@ class TestTraining:
     ):
         model, dataset, _ = _fit(page_cycle_trace_small, steps=180)
         metrics = evaluate(model, dataset)
-        baseline = evaluate_baseline(
-            NextLinePrefetcher(), page_cycle_trace_small, skip=7
-        )
+        baseline = evaluate_baseline(NextLinePrefetcher(), page_cycle_trace_small)
         assert metrics.full_accuracy > baseline.accuracy
         assert metrics.page_accuracy > 0.95
 
@@ -85,7 +91,7 @@ class TestTraining:
         assert a.losses == b.losses
 
     def test_invalid_steps_rejected(self, stride_trace_small):
-        ds = build_dataset(stride_trace_small, history=8)
+        ds = build_sequence_dataset(stride_trace_small, seq_len=8)
         model = HierarchicalModel(
             ModelConfig(
                 pc_vocab_size=ds.pc_vocab.size,
@@ -143,7 +149,8 @@ def test_accuracy_helper_validates_shapes():
 
 
 class TestVocabReuse:
-    """build_dataset's pre-fit vocab handling (the `is None` contract).
+    """build_sequence_dataset's pre-fit vocab handling (the `is None`
+    contract).
 
     A provided vocab must be used verbatim — even when oddly shaped —
     and only a *missing* vocab is fitted; a truthiness test would
@@ -158,8 +165,8 @@ class TestVocabReuse:
         pc_vocab = Vocab(1024).fit(a.pc for a in other)
         page_vocab = Vocab(1024).fit(a.page for a in other)
         before = (pc_vocab.size, page_vocab.size)
-        dataset = build_dataset(
-            trace, history=4, pc_vocab=pc_vocab, page_vocab=page_vocab
+        dataset = build_sequence_dataset(
+            trace, seq_len=4, pc_vocab=pc_vocab, page_vocab=page_vocab
         )
         assert dataset.pc_vocab is pc_vocab
         assert dataset.page_vocab is page_vocab
@@ -170,7 +177,7 @@ class TestVocabReuse:
 
         trace = page_cycle_trace_small
         pc_vocab = Vocab(1024)  # unfit: size 1 (OOV only), still valid
-        dataset = build_dataset(trace, history=4, pc_vocab=pc_vocab)
+        dataset = build_sequence_dataset(trace, seq_len=4, pc_vocab=pc_vocab)
         assert dataset.pc_vocab is pc_vocab
         assert pc_vocab.size == 1  # never silently refit
         assert (dataset.pc_ids == 0).all()  # everything encodes to OOV
