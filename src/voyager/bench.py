@@ -208,11 +208,7 @@ def _train_neural(
         profile=True,
     )
     prefetcher = NeuralPrefetcher(
-        model,
-        dataset.pc_vocab,
-        dataset.page_vocab,
-        inference="stateful",
-        seq_len=seq_len,
+        model, dataset.pc_vocab, dataset.page_vocab, seq_len=seq_len
     )
     return prefetcher, {
         "train_mode": "sequence",
@@ -257,8 +253,8 @@ def bench_cell(
         # Same derived seed as the neural cell, so the table distills
         # exactly the model the neural cell simulates — the coverage
         # delta between the two cells is the distillation cost alone.
-        # The table also distills in the matching inference mode, so
-        # it tabulates the same rollout arithmetic it is compared to.
+        # The table also distills with the training seq_len, so it
+        # tabulates the same rollout arithmetic it is compared to.
         neural, train_info = _train_neural(trace, profile, cell_seed)
         distill_start = time.perf_counter()
         table = build_table(
@@ -267,7 +263,6 @@ def bench_cell(
             neural.page_vocab,
             trace,
             profile.distill_config(),
-            inference=neural.inference,
             seq_len=neural.seq_len,
         )
         distill_s = time.perf_counter() - distill_start
@@ -839,7 +834,6 @@ def run_distill_frontier(
                     neural.page_vocab,
                     trace,
                     config,
-                    inference=neural.inference,
                     seq_len=neural.seq_len,
                 )
                 build_s = time.perf_counter() - build_start

@@ -57,7 +57,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -110,7 +110,7 @@ from voyager.loadgen import (
 from voyager.model import (
     HierarchicalModel,
     ModelConfig,
-    checkpoint_metadata,
+    checkpoint_seq_len,
     load_checkpoint,
     save_checkpoint,
 )
@@ -707,26 +707,6 @@ def run_training(args: argparse.Namespace) -> int:
     return 0
 
 
-def _checkpoint_inference(meta: Dict[str, Any]) -> Dict[str, Any]:
-    """``simulate_model`` inference arguments for a checkpoint's metadata.
-
-    ``train_mode == "sequence"`` means stateful inference that resets
-    every saved ``seq_len`` accesses, the segmentation the weights were
-    trained on; a missing or non-positive ``seq_len`` is an error.  Any
-    other ``train_mode`` (``"window"`` or ``None``, from older saves)
-    replays zero-state windows.
-    """
-    if meta.get("train_mode") != "sequence":
-        return {"inference": "window"}
-    seq_len = meta.get("seq_len")
-    if isinstance(seq_len, bool) or not isinstance(seq_len, int) or seq_len < 1:
-        raise ValueError(
-            f"checkpoint trained in sequence mode records seq_len="
-            f"{seq_len!r}; expected an integer >= 1"
-        )
-    return {"inference": "stateful", "seq_len": seq_len}
-
-
 def run_simulate(args: argparse.Namespace) -> int:
     if args.table and args.prefetcher != "table":
         raise ValueError("--table only makes sense with --prefetcher table")
@@ -748,6 +728,7 @@ def run_simulate(args: argparse.Namespace) -> int:
         _print_sim_result(result)
         return 0
     if args.checkpoint:
+        seq_len = checkpoint_seq_len(args.checkpoint)
         model, pc_vocab, page_vocab = load_checkpoint(args.checkpoint)
         result = simulate_model(
             model,
@@ -756,7 +737,7 @@ def run_simulate(args: argparse.Namespace) -> int:
             trace,
             sim_config,
             dtype=np.float32 if args.dtype == "float32" else np.float64,
-            **_checkpoint_inference(checkpoint_metadata(args.checkpoint)),
+            seq_len=seq_len,
         )
     elif args.prefetcher == "none":
         result = simulate(trace, None, sim_config)

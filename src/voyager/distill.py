@@ -6,12 +6,13 @@ Distillation, and Tabularization") answer it by compiling the trained
 network into hierarchical table lookups.  This module is the software
 analogue of that compilation pass:
 
-- :func:`build_table` sweeps a training trace through the batched
-  :class:`~voyager.infer.InferenceEngine` rollout once and records, for
+- :func:`build_table` takes the model's ordered multi-step candidate
+  blocks at every position of a training trace from the same stateful
+  candidate pass the simulator runs
+  (:func:`voyager.sim.rollout_candidates`) and records them under
   every *quantized context* (the last ``depth`` encoded
-  ``(pc, page, offset)`` triples), the model's ordered multi-step
-  candidate blocks.  One table per configured depth; each capped at
-  ``table_size`` most-frequent contexts.
+  ``(pc, page, offset)`` triples).  One table per configured depth;
+  each capped at ``table_size`` most-frequent contexts.
 - :class:`DistilledTable` holds the resulting tables plus the vocabs
   and config needed to encode future accesses, so a serialized table
   file is self-contained (no model checkpoint needed at serve time).
@@ -20,25 +21,18 @@ analogue of that compilation pass:
   coarser-context hit -> stride / next-line fallback -> nothing.  Its
   ``offline_candidates`` hook hands :func:`voyager.sim.simulate` the
   whole per-position candidate table, where a "prediction" is a dict
-  probe instead of ``history`` LSTM steps per lookahead step.
+  probe instead of an LSTM rollout.
 
 Unlike every prior fast path in this repo (the inference engine, the
 array-backed simulator, the serving layer — all bit-exact), distillation is
-an **approximation**: a coarse context can collapse windows that the
-LSTM distinguishes, so the table answers with the *modal* rollout of
-the collapsed windows.  Two properties are still exact, and the test
-suite pins them:
-
-- every stored candidate list is bit-identical to the engine's
-  rollout from at least one build-trace position whose trailing
-  triples match the context (the table never invents candidates);
-- in window mode, at ``depth == history`` the context determines the
-  whole window, so a full-depth hit reproduces the engine's rollout
-  exactly and its first candidate is the engine's top-1 (a member of
-  any top-k).  (Stateful mode — used to distill sequence-trained
-  models, see :func:`build_table` — keeps the first property but not
-  the second: the carried segment state depends on context the key
-  does not capture.)
+an **approximation**: a context key holds the last ``depth`` accesses,
+while a stateful rollout also depends on everything since its segment
+start, so one key collapses positions whose carried states differ and
+the table answers with the *modal* rollout of the collapsed positions.
+What stays exact, and the test suite pins it, is that every stored
+candidate list is bit-identical to the stateful rollout from at least
+one build-trace position whose trailing triples match the context: the
+table never invents candidates.
 
 The coverage cost of the approximation is quantified per workload by
 the ``distill`` frontier section :mod:`voyager.bench` writes into
@@ -69,8 +63,13 @@ from voyager.baselines import StridePrefetcher, next_line_candidates
 from voyager.infer import InferenceEngine
 from voyager.ioutil import atomic_write_text
 from voyager.model import HierarchicalModel
-from voyager.sim import page_id_table
-from voyager.traces import OFFSET_BITS, MemoryAccess
+from voyager.sim import (
+    check_stateful,
+    encode_trace,
+    page_id_table,
+    rollout_candidates,
+)
+from voyager.traces import MemoryAccess
 from voyager.vocab import Vocab
 
 #: Bumped whenever the serialized table layout changes incompatibly.
@@ -153,8 +152,9 @@ def context_key(
 
     Triples interleave as ``(pc, page, offset, pc, page, offset, ...)``
     oldest first, so keys of different depths never collide with each
-    other inside one depth's table and the full-depth key of a window
-    determines the window exactly.
+    other inside one depth's table.  :func:`build_table` and
+    :class:`TablePrefetcher` slice the same layout out of one flat
+    interleaved list.
     """
     lo = end - depth + 1
     out: List[int] = []
@@ -318,106 +318,61 @@ def build_table(
     trace: Sequence[MemoryAccess],
     config: Optional[DistillConfig] = None,
     dtype=np.float64,
-    inference: str = "window",
+    inference: str = "stateful",
     seq_len: int = 64,
 ) -> DistilledTable:
     """Compile ``model`` into a :class:`DistilledTable` over ``trace``.
 
-    One batched inference pass computes the model's ``top_k``-step
-    candidate blocks for every trace position (exactly the arithmetic
-    :meth:`voyager.sim.NeuralPrefetcher.offline_candidates` runs for the
-    matching inference mode), then each position's candidate list is
-    recorded under its context key at every configured depth.  ``inference``
-    selects the pass: ``"window"`` (default) replays zero-state
-    ``history``-access windows via
-    :meth:`~voyager.infer.InferenceEngine.rollout_window` — the right
-    distillation for window-trained models; ``"stateful"`` carries
-    LSTM state across each ``seq_len``-access segment
-    (:meth:`~voyager.infer.InferenceEngine.segment_states`) and rolls
-    out from every position, matching sequence-trained models'
-    stateful serving mode (and covering positions before the first
-    full window, which window mode cannot).
+    The model's ``top_k``-step candidate blocks for every trace position
+    come from :func:`voyager.sim.rollout_candidates` — the pass
+    :meth:`voyager.sim.NeuralPrefetcher.offline_candidates` simulates,
+    with LSTM state carried across each ``seq_len``-access segment
+    (pass the checkpoint's training ``seq_len``).  Each position's list
+    is then recorded under its context key at every configured depth.
+    ``inference`` accepts only ``"stateful"``.
 
     Aggregation is *modal*: a context seen with conflicting rollouts
-    (coarse contexts collapse positions the LSTM distinguishes —
-    different windows in window mode, different carried states in
-    stateful mode) stores its most frequent candidate list, first-seen
-    winning ties — so every stored list is bit-identical to a real
-    engine rollout from the build trace, never a blend.  The
-    full-depth-hit exactness property (a ``depth == history`` hit
-    reproduces the engine's rollout) holds in window mode only, where
-    the context determines the whole input; a stateful rollout also
-    depends on the segment prefix, which the context key does not
-    capture.  Tables keep the ``table_size`` most frequently *seen*
-    contexts (same count-then-first-seen rank rule as
-    :meth:`voyager.vocab.Vocab.fit`).
+    (coarse contexts collapse positions whose carried states differ)
+    stores its most frequent candidate list, first-seen winning ties —
+    so every stored list is bit-identical to a real engine rollout from
+    the build trace, never a blend.  Tables keep the ``table_size``
+    most frequently *seen* contexts (same count-then-first-seen rank
+    rule as :meth:`voyager.vocab.Vocab.fit`).
     """
     config = config or DistillConfig()
-    if inference not in ("window", "stateful"):
-        raise ValueError(
-            f"inference must be 'window' or 'stateful', got {inference!r}"
-        )
-    if inference == "stateful" and seq_len < 1:
-        raise ValueError(f"seq_len must be >= 1, got {seq_len}")
-    history = model.config.history
-    table = DistilledTable(config, pc_vocab, page_vocab, history)
-    n = len(trace)
-    if n == 0 or (inference == "window" and n < history):
-        return table
-
-    pc_all = np.array(pc_vocab.encode_all(a.pc for a in trace), dtype=np.int64)
-    page_all = np.array(
-        page_vocab.encode_all(a.page for a in trace), dtype=np.int64
+    check_stateful(inference, seq_len)
+    table = DistilledTable(config, pc_vocab, page_vocab, model.config.history)
+    encoded = encode_trace(pc_vocab, page_vocab, trace)
+    blocks, counts = rollout_candidates(
+        InferenceEngine(model, dtype=dtype),
+        page_id_table(page_vocab),
+        *encoded,
+        config.top_k,
+        seq_len,
     )
-    off_all = np.array([a.offset for a in trace], dtype=np.int64)
-
-    engine = InferenceEngine(model, dtype=dtype)
-    if inference == "stateful":
-        x = engine.feature_step(pc_all, page_all, off_all)
-        states = engine.segment_states(x, seq_len)
-        pages, offsets, valid = engine.rollout(states, pc_all, config.top_k)
-        first_pos = 0
-    else:
-        windows = np.lib.stride_tricks.sliding_window_view
-        pc_w = windows(pc_all, history)  # (n - H + 1, H)
-        page_w = windows(page_all, history)
-        off_w = windows(off_all, history)
-        feats = engine.features(pc_w, page_w, off_w)
-        pages, offsets, valid = engine.rollout_window(
-            feats, pc_w[:, -1], config.top_k
-        )
-        first_pos = history - 1
-    page_table = page_id_table(page_vocab)
-    blocks = (page_table[pages] << OFFSET_BITS) | offsets
-    counts = np.where(
-        valid.all(axis=1), config.top_k, valid.argmin(axis=1)
-    )
-
+    rows = [
+        tuple(row[:count])
+        for row, count in zip(blocks.tolist(), counts.tolist())
+    ]
+    # Keys are slices of one interleaved (pc, page, offset) list, the
+    # layout :func:`context_key` documents and TablePrefetcher probes.
+    flat = np.stack(encoded, axis=1).reshape(-1).tolist()
     for depth in config.depths:
-        ctx_counts: Counter = Counter()
-        first_seen: Dict[Context, int] = {}
-        cand_votes: Dict[Context, Counter] = {}
-        for row, pos in enumerate(range(first_pos, n)):
-            if depth > pos + 1:
-                continue  # not enough accesses yet for this depth
-            key = context_key(pc_all, page_all, off_all, pos, depth)
-            cands = tuple(int(b) for b in blocks[row, : counts[row]])
-            ctx_counts[key] += 1
-            if key not in first_seen:
-                first_seen[key] = row
-                cand_votes[key] = Counter()
-            cand_votes[key][cands] += 1
-        kept = sorted(
-            ctx_counts, key=lambda k: (-ctx_counts[k], first_seen[k])
-        )[: config.table_size]
-        depth_table: Dict[Context, Tuple[int, ...]] = {}
-        for key in kept:
-            votes = cand_votes[key]
-            # Modal candidate list; ties break toward the first list
-            # observed (Counter preserves insertion order and
-            # most_common is a stable sort).
-            depth_table[key] = votes.most_common(1)[0][0]
-        table.tables[depth] = depth_table
+        votes: Dict[Context, Counter] = {}
+        for end in range(3 * depth, len(flat) + 1, 3):
+            key = tuple(flat[end - 3 * depth : end])
+            cands = votes.get(key)
+            if cands is None:
+                cands = votes[key] = Counter()
+            cands[rows[end // 3 - 1]] += 1
+        # Dicts keep first-seen order and sorted() is stable, so equal
+        # counts rank first-seen first; most_common is stable too, so
+        # the modal list's ties break toward the first list observed.
+        kept = sorted(votes, key=lambda k: -sum(votes[k].values()))
+        table.tables[depth] = {
+            key: votes[key].most_common(1)[0][0]
+            for key in kept[: config.table_size]
+        }
     return table
 
 
@@ -573,13 +528,19 @@ def distill_checkpoint(
 ) -> Tuple[DistilledTable, float]:
     """Load a checkpoint and compile it over ``trace``.
 
-    Returns ``(table, build_seconds)`` — the CLI ``distill`` handler.
+    Distills with the ``seq_len`` the checkpoint was trained on
+    (:func:`voyager.model.checkpoint_seq_len`, which rejects legacy
+    window-trained checkpoints).  Returns ``(table, build_seconds)`` —
+    the CLI ``distill`` handler.
     """
-    from voyager.model import load_checkpoint
+    from voyager.model import checkpoint_seq_len, load_checkpoint
 
+    seq_len = checkpoint_seq_len(checkpoint_prefix)
     model, pc_vocab, page_vocab = load_checkpoint(checkpoint_prefix)
     start = time.perf_counter()
-    table = build_table(model, pc_vocab, page_vocab, trace, config)
+    table = build_table(
+        model, pc_vocab, page_vocab, trace, config, seq_len=seq_len
+    )
     return table, time.perf_counter() - start
 
 

@@ -102,7 +102,6 @@ def simulate_model(
     trace: Sequence[MemoryAccess],
     sim_config: Optional[SimConfig] = None,
     dtype=np.float64,
-    inference: str = "window",
     seq_len: int = 64,
 ) -> SimResult:
     """Cache-outcome evaluation of a trained model on a raw trace.
@@ -113,20 +112,13 @@ def simulate_model(
     issued prefetch) and timeliness — not argmax token accuracy.
 
     The prefetcher runs on the cache-free inference engine, batched
-    over the whole trace by its ``offline_candidates`` hook.
+    over the whole trace by its ``offline_candidates`` hook, with LSTM
+    state carried across each ``seq_len``-access segment — pass the
+    training ``seq_len`` (see :class:`~voyager.sim.NeuralPrefetcher`).
     ``dtype=np.float32`` opts into the faster approximate mode.
-    ``inference`` should match how the weights were trained:
-    ``"stateful"`` with the training ``seq_len`` for models trained by
-    :func:`voyager.train.train`, ``"window"`` for older window-trained
-    checkpoints — see :class:`~voyager.sim.NeuralPrefetcher`.
     """
     prefetcher = NeuralPrefetcher(
-        model,
-        pc_vocab,
-        page_vocab,
-        dtype=dtype,
-        inference=inference,
-        seq_len=seq_len,
+        model, pc_vocab, page_vocab, dtype=dtype, seq_len=seq_len
     )
     return simulate(trace, prefetcher, sim_config or SimConfig())
 

@@ -15,15 +15,13 @@ path must not pay.  This module is the inference-only counterpart:
   (cheapest: one LSTM step per lookahead step), while
   :meth:`~InferenceEngine.rollout_window` replays the trained
   fixed-length window per step over *precomputed features* — the mode
-  the serving layer runs, and the one older window-trained checkpoints
-  need, because a model only ever trained on ``history``-step windows
-  from a zero state drifts badly when a state is continued past that
-  horizon.  Models trained by :func:`voyager.train.train` are the
-  opposite: they learn on long carried-state segments, so for them
-  :meth:`~InferenceEngine.segment_states` reconstructs every trace
+  the serving layer still runs.  Models trained by
+  :func:`voyager.train.train` learn on long carried-state segments, so
+  the offline paths (simulation and distillation) use
+  :meth:`~InferenceEngine.segment_states` to reconstruct every trace
   position's carried state in one batched scan (resetting every
   ``seq_len`` accesses, mirroring the training segmentation) and
-  :meth:`~InferenceEngine.rollout` continues from it;
+  :meth:`~InferenceEngine.rollout` to continue from it;
 - an optional float32 mode (``dtype=np.float32``) that halves memory
   traffic for throughput-oriented simulation;
 - an optional ``row_exact`` mode that computes every
@@ -57,7 +55,6 @@ import numpy as np
 from voyager.model import (
     HierarchicalModel,
     _lstm_activate,
-    softmax,
     step_features,
     topk_from_logits,
     window_features,
@@ -351,11 +348,6 @@ class InferenceEngine:
             + self.params["b_offset"],
         )
 
-    def probs(self, state: LSTMState) -> Tuple[np.ndarray, np.ndarray]:
-        """Softmax head distributions for a state."""
-        page_logits, offset_logits = self.logits(state)
-        return softmax(page_logits), softmax(offset_logits)
-
     def predict(self, state: LSTMState) -> Tuple[np.ndarray, np.ndarray]:
         """Argmax ``(page_ids, offset_ids)`` per row, no softmax."""
         page_logits, offset_logits = self.logits(state)
@@ -387,14 +379,11 @@ class InferenceEngine:
         pseudo-access (the PC slot repeats ``pc_ids``), advancing the
         state in place of the slid window.  This is the cheapest
         possible rollout — one LSTM step per lookahead step.  For a
-        *window-trained* model it carries the state past the
-        ``history``-step horizon the model was trained on, which
-        measurably degrades multi-step prediction quality; prefer
-        :meth:`rollout_window` there (the simulator does, in
-        ``inference="window"`` mode).  For a *sequence-trained* model
-        carried state is the training distribution, so this rollout —
-        continuing from :meth:`segment_states` rows — is both the
-        cheap and the faithful choice (``inference="stateful"``).
+        sequence-trained model carried state is the training
+        distribution, so this rollout — continuing from
+        :meth:`segment_states` rows — is both the cheap and the
+        faithful choice; it is the one the simulator and the distiller
+        run (:func:`voyager.sim.rollout_candidates`).
 
         Returns ``(pages, offsets, valid)`` of shape ``(B, steps)``;
         ``valid[b, j]`` is False from the first step where row ``b``

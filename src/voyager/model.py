@@ -597,6 +597,36 @@ def checkpoint_metadata(prefix: Union[str, Path]) -> Dict[str, object]:
     return meta
 
 
+def checkpoint_seq_len(prefix: Union[str, Path]) -> int:
+    """The segment length a checkpoint's weights were trained on.
+
+    Offline inference (``simulate --checkpoint``, ``distill
+    --checkpoint``) carries LSTM state across accesses and resets it
+    every ``seq_len`` accesses, the segmentation the weights were
+    trained on, so it needs ``train_mode == "sequence"`` and an integer
+    ``seq_len >= 1`` (every ``train --save`` writes both).  Anything
+    else — a legacy window-trained or metadata-less checkpoint, or a
+    missing or bad ``seq_len`` — raises :class:`ValueError`; a missing
+    file raises :class:`FileNotFoundError`, as in
+    :func:`checkpoint_metadata`.
+    """
+    meta = checkpoint_metadata(prefix)
+    train_mode = meta.get("train_mode")
+    if train_mode != "sequence":
+        raise ValueError(
+            f"checkpoint {prefix} records train_mode={train_mode!r}; only "
+            f"sequence-trained checkpoints are supported (retrain with "
+            f"'train --save')"
+        )
+    seq_len = meta.get("seq_len")
+    if isinstance(seq_len, bool) or not isinstance(seq_len, int) or seq_len < 1:
+        raise ValueError(
+            f"checkpoint trained in sequence mode records seq_len="
+            f"{seq_len!r}; expected an integer >= 1"
+        )
+    return seq_len
+
+
 def load_checkpoint(
     prefix: Union[str, Path],
 ) -> Tuple[HierarchicalModel, Vocab, Vocab]:

@@ -478,7 +478,7 @@ def _streamed_candidates(
     return rows
 
 # ----------------------------------------------------------------------
-# shared candidate decode helpers
+# shared candidate helpers (simulator, distiller, serving decode)
 # ----------------------------------------------------------------------
 def page_id_table(page_vocab: Vocab) -> np.ndarray:
     """Vectorised page-id -> raw-page decode table.
@@ -511,38 +511,74 @@ def decode_block_candidates(
     return ((raw << OFFSET_BITS) | offsets[:n]).tolist()
 
 
+def encode_trace(
+    pc_vocab: Vocab, page_vocab: Vocab, trace: Sequence[MemoryAccess]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(pc_ids, page_ids, offsets)`` int64 arrays for a whole trace."""
+    return (
+        np.array(pc_vocab.encode_all(a.pc for a in trace), dtype=np.int64),
+        np.array(page_vocab.encode_all(a.page for a in trace), dtype=np.int64),
+        np.array([a.offset for a in trace], dtype=np.int64),
+    )
+
+
+def check_stateful(inference: str, seq_len: int) -> None:
+    """Validate the inference arguments of the offline neural paths.
+
+    Inference is stateful only; the ``inference`` keyword survives so
+    callers that name the mode keep working.
+    """
+    if inference != "stateful":
+        raise ValueError(f"inference must be 'stateful', got {inference!r}")
+    if seq_len < 1:
+        raise ValueError(f"seq_len must be >= 1, got {seq_len}")
+
+
+def rollout_candidates(
+    engine: InferenceEngine,
+    page_table: np.ndarray,  # from :func:`page_id_table`
+    pc_ids: np.ndarray,  # (n,) encoded trace
+    page_ids: np.ndarray,  # (n,)
+    offsets: np.ndarray,  # (n,)
+    steps: int,
+    seq_len: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Stateful candidate blocks at every trace position, one batched pass.
+
+    Embeds every access once (``feature_step``), rebuilds each
+    position's carried state with ``segment_states`` (reset every
+    ``seq_len`` accesses, the training segmentation), rolls every
+    position out ``steps`` steps with ``rollout`` and decodes the
+    predictions into block addresses.  Returns ``(blocks, counts)``:
+    ``blocks[p, :counts[p]]`` are position ``p``'s candidates in
+    rollout order (``counts`` stops at the first OOV prediction).
+
+    The one candidate pass of the offline side:
+    :meth:`NeuralPrefetcher.offline_candidates` slices its issue
+    windows from these rows and :func:`voyager.distill.build_table`
+    tabulates them.
+    """
+    x = engine.feature_step(pc_ids, page_ids, offsets)
+    states = engine.segment_states(x, seq_len)
+    pages, offs, valid = engine.rollout(states, pc_ids, steps)
+    blocks = (page_table[pages] << OFFSET_BITS) | offs
+    counts = np.where(valid.all(axis=1), steps, valid.argmin(axis=1))
+    return blocks, counts
+
+
 # ----------------------------------------------------------------------
 # neural prefetcher adapter
 # ----------------------------------------------------------------------
 class NeuralPrefetcher:
     """Adapts a trained :class:`HierarchicalModel` to the sim protocol.
 
-    Drives a cache-free :class:`~voyager.infer.InferenceEngine` instead
-    of the training forward, in one of two inference modes:
-
-    - ``inference="window"`` (default; the serving layer's mode and the
-      recipe older window-trained checkpoints were trained for):
-      keeps a sliding window of the last ``history`` accesses (encoded
-      through the training vocabularies).  ``update`` embeds+attends
-      each observed access exactly once (features carry no recurrence);
-      ``prefetch`` rolls out ``degree`` steps with the engine's
-      window-replay rollout — each step takes the argmax ``(page,
-      offset)`` prediction, emits its block address, slides the cached
-      feature window by the prediction (the PC slot repeats the current
-      access's PC id), and re-runs only the LSTM recurrence.  A
-      window-trained model sees exclusively ``history``-step windows
-      from a zero state, so replaying the slid window is what keeps its
-      multi-step predictions in distribution.
-    - ``inference="stateful"`` (for models trained by
-      :func:`voyager.train.train`): the LSTM state is carried across
-      accesses and reset every ``seq_len`` accesses — the segmentation
-      ``build_sequence_dataset`` trains on.
-      ``update`` is one cell step; ``prefetch`` continues the carried
-      state with the engine's cheap state-continuation rollout (one
-      cell step per lookahead step, no window replay).  Carried state
-      *is* a sequence-trained model's training distribution; replaying
-      zero-state windows under it measurably degrades accuracy, which
-      is why the mode should match how the weights were trained.
+    Drives a cache-free :class:`~voyager.infer.InferenceEngine` the way
+    :func:`voyager.train.train` trained the weights: the LSTM state is
+    carried across accesses and reset every ``seq_len`` accesses (the
+    segmentation ``build_sequence_dataset`` trains on).  ``update`` is
+    one cell step; ``prefetch`` continues the carried state with the
+    engine's state-continuation rollout (one cell step per lookahead
+    step).  ``inference`` accepts only ``"stateful"``.
 
     The candidate list is temporally ordered — candidate ``k`` is the
     model's guess for the access ``k + 1`` steps ahead — matching the
@@ -552,11 +588,8 @@ class NeuralPrefetcher:
     beyond that horizon.
 
     :meth:`offline_candidates` computes the same per-position
-    candidates for a whole trace in one batched pass (window mode: all
-    window features embedded at once, then one batched replay rollout;
-    stateful mode: one
-    :meth:`~voyager.infer.InferenceEngine.segment_states` scan, then
-    one batched continuation rollout).  It leaves the streaming state
+    candidates for a whole trace in one batched pass
+    (:func:`rollout_candidates`).  It leaves the streaming state
     untouched, so an instance can be simulated and then streamed.
 
     Float32 mode (``dtype=np.float32``) trades bit-exactness for
@@ -573,81 +606,42 @@ class NeuralPrefetcher:
         pc_vocab: Vocab,
         page_vocab: Vocab,
         dtype=np.float64,
-        inference: str = "window",
+        inference: str = "stateful",
         seq_len: int = 64,
     ):
-        if inference not in ("window", "stateful"):
-            raise ValueError(
-                f"inference must be 'window' or 'stateful', got {inference!r}"
-            )
-        if seq_len < 1:
-            raise ValueError(f"seq_len must be >= 1, got {seq_len}")
+        check_stateful(inference, seq_len)
         self.model = model
         self.pc_vocab = pc_vocab
         self.page_vocab = page_vocab
-        self.inference = inference
         self.seq_len = seq_len
         self.engine = InferenceEngine(model, dtype=dtype)
-        history = model.config.history
-        self._pc_ids: deque = deque(maxlen=history)
-        self._feats: deque = deque(maxlen=history)  # (3d,) per access
         self._page_table = page_id_table(page_vocab)
-        # stateful-mode storage: carried (h, c) + last pc id
+        # streaming storage: carried (h, c) + last pc id
         self._state = None
         self._last_pc_id = 0
         self._pos = -1
 
     def update(self, access: MemoryAccess) -> None:
         self._pos += 1
-        pc_id = self.pc_vocab.encode(access.pc)
-        feat = self.engine.feature_step(
-            np.array([pc_id], dtype=np.int64),
+        if self._pos % self.seq_len == 0:
+            self._state = self.engine.init_state(1)
+        self._last_pc_id = self.pc_vocab.encode(access.pc)
+        self._state = self.engine.step(
+            self._state,
+            np.array([self._last_pc_id], dtype=np.int64),
             np.array([self.page_vocab.encode(access.page)], dtype=np.int64),
             np.array([access.offset], dtype=np.int64),
         )
-        if self.inference == "stateful":
-            if self._state is None or self._pos % self.seq_len == 0:
-                self._state = self.engine.init_state(1)
-            self._state = self.engine.step_from_features(self._state, feat)
-            self._last_pc_id = pc_id
-            return
-        self._pc_ids.append(pc_id)
-        self._feats.append(feat[0])
-
-    def _decode_blocks(
-        self,
-        pages: np.ndarray,  # (S,) page vocab ids
-        offsets: np.ndarray,  # (S,)
-        valid: np.ndarray,  # (S,) bool
-        limit: int,
-    ) -> List[int]:
-        return decode_block_candidates(
-            self._page_table, pages, offsets, valid, limit
-        )
 
     def prefetch(self, access: MemoryAccess, degree: int = 1) -> List[int]:
-        if degree < 1:
+        if degree < 1 or self._state is None:
             return []
-        if self.inference == "stateful":
-            if self._state is None:
-                return []
-            pages, offsets, valid = self.engine.rollout(
-                self._state,
-                np.array([self._last_pc_id], dtype=np.int64),
-                degree,
-            )
-            return self._decode_blocks(
-                pages[0], offsets[0], valid[0], degree
-            )
-        if len(self._pc_ids) < self.model.config.history:
-            return []
-
-        feats = np.stack(self._feats)[None, :, :]  # (1, H, 3d)
-        pc_last = np.array([self._pc_ids[-1]], dtype=np.int64)
-        pages, offsets, valid = self.engine.rollout_window(
-            feats, pc_last, degree
+        pages, offsets, valid = self.engine.rollout(
+            self._state, np.array([self._last_pc_id], dtype=np.int64), degree
         )
-        return self._decode_blocks(pages[0], offsets[0], valid[0], degree)
+        return decode_block_candidates(
+            self._page_table, pages[0], offsets[0], valid[0], degree
+        )
 
     def offline_candidates(
         self, trace: Sequence[MemoryAccess], degree: int, distance: int
@@ -656,63 +650,35 @@ class NeuralPrefetcher:
 
         Row ``t`` is what a fresh streaming prefetcher would return from
         ``prefetch(trace[t], degree + distance)[distance:]`` after
-        ``update(trace[t])``, computed in one batched rollout over the
-        whole trace.  The arithmetic per position matches the streaming
-        mode, and this instance's streaming state is not touched.
+        ``update(trace[t])``, computed in one batched pass over the
+        whole trace (:func:`rollout_candidates`).  The arithmetic per
+        position matches the streaming mode, and this instance's
+        streaming state is not touched.
         """
         want = degree + distance
         n = len(trace)
-        history = self.model.config.history
-        first = 0 if self.inference == "stateful" else history - 1
-        if want < 1 or n <= first:
+        if want < 1 or n == 0:
             return [[] for _ in range(n)]
-
-        pc_all = np.array(
-            self.pc_vocab.encode_all(a.pc for a in trace), dtype=np.int64
+        blocks, counts = rollout_candidates(
+            self.engine,
+            self._page_table,
+            *encode_trace(self.pc_vocab, self.page_vocab, trace),
+            want,
+            self.seq_len,
         )
-        page_all = np.array(
-            self.page_vocab.encode_all(a.page for a in trace), dtype=np.int64
-        )
-        off_all = np.array([a.offset for a in trace], dtype=np.int64)
-
-        if self.inference == "stateful":
-            x = self.engine.feature_step(pc_all, page_all, off_all)
-            states = self.engine.segment_states(x, self.seq_len)
-            pages, offsets, valid = self.engine.rollout(states, pc_all, want)
-        else:
-            windows = np.lib.stride_tricks.sliding_window_view
-            pc_w = windows(pc_all, history)  # (n - H + 1, H)
-            feats = self.engine.features(
-                pc_w, windows(page_all, history), windows(off_all, history)
-            )
-            pages, offsets, valid = self.engine.rollout_window(
-                feats, pc_w[:, -1], want
-            )
-        blocks = (self._page_table[pages] << OFFSET_BITS) | offsets
-        counts = np.where(valid.all(axis=1), want, valid.argmin(axis=1))
-        rows: List[List[int]] = [[] for _ in range(first)]
-        rows.extend(
-            blocks[row, distance : counts[row]].tolist()
-            for row in range(blocks.shape[0])
-        )
-        return rows
+        return [
+            row[distance:count]
+            for row, count in zip(blocks.tolist(), counts.tolist())
+        ]
 
 
-def make_prefetcher(
-    kind: str,
-    model: Optional[HierarchicalModel] = None,
-    pc_vocab: Optional[Vocab] = None,
-    page_vocab: Optional[Vocab] = None,
-    dtype=np.float64,
-    table=None,
-    inference: str = "window",
-    seq_len: int = 64,
-) -> Prefetcher:
-    """Factory over the four prefetcher kinds used by bench and the CLI.
+def make_prefetcher(kind: str, table=None) -> Prefetcher:
+    """Factory over the model-free prefetcher kinds used by bench and the CLI.
 
     ``kind='table'`` wraps a :class:`~voyager.distill.DistilledTable`
     (pass it as ``table``) — the distilled lookup-table predictor that
-    replaces model arithmetic with context probes.
+    replaces model arithmetic with context probes.  Neural prefetchers
+    are built directly as :class:`NeuralPrefetcher`.
     """
     from voyager.baselines import NextLinePrefetcher, StridePrefetcher
 
@@ -720,19 +686,6 @@ def make_prefetcher(
         return NextLinePrefetcher()
     if kind == "stride":
         return StridePrefetcher()
-    if kind == "neural":
-        if model is None or pc_vocab is None or page_vocab is None:
-            raise ValueError(
-                "kind='neural' requires model, pc_vocab and page_vocab"
-            )
-        return NeuralPrefetcher(
-            model,
-            pc_vocab,
-            page_vocab,
-            dtype=dtype,
-            inference=inference,
-            seq_len=seq_len,
-        )
     if kind == "table":
         from voyager.distill import DistilledTable, TablePrefetcher
 
@@ -744,7 +697,7 @@ def make_prefetcher(
         return TablePrefetcher(table)
     raise ValueError(
         f"unknown prefetcher kind {kind!r}; "
-        "expected 'next_line', 'stride', 'neural' or 'table'"
+        "expected 'next_line', 'stride' or 'table'"
     )
 
 
@@ -756,9 +709,12 @@ __all__ = [
     "Prefetcher",
     "SimConfig",
     "SimResult",
+    "check_stateful",
     "decode_block_candidates",
+    "encode_trace",
     "make_prefetcher",
     "page_id_table",
+    "rollout_candidates",
     "simulate",
     "NUM_OFFSETS",
 ]

@@ -7,6 +7,7 @@ import pytest
 from voyager import cli as cli_mod
 from voyager.bench import BENCH_SCHEMA_VERSION, validate_report
 from voyager.cli import main
+from voyager.distill import DistillConfig, DistilledTable, build_table, depth_chain
 from voyager.eval import simulate_model
 from voyager.model import load_checkpoint
 from voyager.traces import parse_trace
@@ -132,8 +133,8 @@ def _simulate_checkpoint(trace_path, prefix, capsys):
     return capsys.readouterr().out
 
 
-def _expected_sim_output(trace_path, prefix, capsys, **inference):
-    """What ``simulate`` prints for the checkpoint under ``inference``."""
+def _expected_sim_output(trace_path, prefix, capsys, seq_len):
+    """What ``simulate`` prints for the checkpoint run at ``seq_len``."""
     argv = ["simulate", "--trace", str(trace_path), "--checkpoint", str(prefix)]
     model, pc_vocab, page_vocab = load_checkpoint(prefix)
     result = simulate_model(
@@ -142,7 +143,7 @@ def _expected_sim_output(trace_path, prefix, capsys, **inference):
         page_vocab,
         parse_trace(trace_path),
         cli_mod._sim_config(cli_mod.build_parser().parse_args(argv)),
-        **inference,
+        seq_len=seq_len,
     )
     cli_mod._print_sim_result(result)
     return capsys.readouterr().out
@@ -163,49 +164,95 @@ def _rewrite_meta(prefix, **fields):
     meta_path.write_text(json.dumps(meta))
 
 
+def _checkpoint_commands(trace_path, prefix, tmp_path):
+    """``simulate --checkpoint`` and ``distill --checkpoint`` argvs."""
+    common = ["--trace", str(trace_path), "--checkpoint", str(prefix)]
+    return [
+        ["simulate", *common],
+        ["distill", *common, "--out", str(tmp_path / "table.json")],
+    ]
+
+
 def test_sequence_train_then_stateful_simulate(saved_checkpoint, capsys):
-    """simulate reads the inference mode from the checkpoint: a trained
-    checkpoint runs statefully with its saved seq_len."""
+    """simulate reads seq_len from the checkpoint: a trained checkpoint
+    runs statefully with its saved seq_len."""
     trace_path, prefix = saved_checkpoint
     meta = json.loads(prefix.with_suffix(".vocab.json").read_text())
     assert meta["train_mode"] == "sequence" and meta["seq_len"] == 16
 
     out = _simulate_checkpoint(trace_path, prefix, capsys)
-    stateful = _expected_sim_output(
-        trace_path, prefix, capsys, inference="stateful", seq_len=16
-    )
-    window = _expected_sim_output(trace_path, prefix, capsys, inference="window")
+    stateful = _expected_sim_output(trace_path, prefix, capsys, seq_len=16)
+    other = _expected_sim_output(trace_path, prefix, capsys, seq_len=5)
     assert out == stateful
-    assert stateful != window  # the mode choice is visible in the counters
+    assert stateful != other  # the saved seq_len is visible in the counters
     coverage = float(out.split("coverage=")[1].split()[0])
     assert coverage > 0.0
 
 
-@pytest.mark.parametrize("train_mode", ["window", None])
-def test_simulate_window_checkpoint_replays_windows(
-    saved_checkpoint, capsys, train_mode
+def test_distill_checkpoint_tabulates_stateful_rollouts(
+    saved_checkpoint, tmp_path, capsys
 ):
-    """Checkpoints saved as window-trained (or without a mode, from
-    older saves) keep zero-state window replay."""
+    """distill --checkpoint builds the table build_table builds at the
+    checkpoint's saved seq_len."""
+    trace_path, prefix = saved_checkpoint
+    out_path = tmp_path / "table.json"
+    argv = [
+        "distill",
+        "--trace",
+        str(trace_path),
+        "--checkpoint",
+        str(prefix),
+        "--out",
+        str(out_path),
+    ]
+    assert main(argv) == 0
+    args = cli_mod.build_parser().parse_args(argv)
+    model, pc_vocab, page_vocab = load_checkpoint(prefix)
+    expected = build_table(
+        model,
+        pc_vocab,
+        page_vocab,
+        parse_trace(trace_path),
+        DistillConfig(
+            depths=depth_chain(args.depth),
+            table_size=args.table_size,
+            top_k=args.top_k,
+            fallback=args.fallback,
+        ),
+        inference="stateful",
+        seq_len=16,
+    )
+    assert DistilledTable.load(out_path).to_dict() == expected.to_dict()
+
+
+@pytest.mark.parametrize("train_mode", ["window", None])
+def test_legacy_checkpoint_is_clean_error(
+    saved_checkpoint, tmp_path, capsys, train_mode
+):
+    """Window-trained (or mode-less, older) checkpoints are rejected by
+    both offline commands: inference is stateful only."""
     trace_path, prefix = saved_checkpoint
     _rewrite_meta(prefix, train_mode=train_mode)
-    out = _simulate_checkpoint(trace_path, prefix, capsys)
-    assert out == _expected_sim_output(
-        trace_path, prefix, capsys, inference="window"
-    )
+    for argv in _checkpoint_commands(trace_path, prefix, tmp_path):
+        assert main(argv) == 1, argv[0]
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "train_mode" in captured.err
+        assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("seq_len", [_DELETE, None, 0, -3, "16", 16.0, True])
 def test_simulate_sequence_checkpoint_bad_seq_len_is_clean_error(
-    saved_checkpoint, capsys, seq_len
+    saved_checkpoint, tmp_path, capsys, seq_len
 ):
+    """A missing or bad seq_len is a clean error for simulate and
+    distill alike."""
     trace_path, prefix = saved_checkpoint
     _rewrite_meta(prefix, seq_len=seq_len)
-    argv = ["simulate", "--trace", str(trace_path), "--checkpoint", str(prefix)]
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and "seq_len" in captured.err
-    assert "Traceback" not in captured.err
+    for argv in _checkpoint_commands(trace_path, prefix, tmp_path):
+        assert main(argv) == 1, argv[0]
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "seq_len" in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_simulate_missing_checkpoint_is_clean_error(

@@ -171,9 +171,9 @@ def test_sim_result_as_dict_is_complete():
 def test_make_prefetcher_factory():
     assert make_prefetcher("next_line").name == "next_line"
     assert make_prefetcher("stride").name == "stride"
-    with pytest.raises(ValueError):
-        make_prefetcher("neural")  # needs model + vocabs
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown prefetcher kind"):
+        make_prefetcher("neural")  # built directly as NeuralPrefetcher
+    with pytest.raises(ValueError, match="unknown prefetcher kind"):
         make_prefetcher("bogus")
 
 
@@ -227,16 +227,6 @@ def trained_neural():
     return trace, model, dataset
 
 
-def test_neural_prefetcher_warms_up_silently(trained_neural):
-    trace, model, dataset = trained_neural
-    pf = NeuralPrefetcher(model, dataset.pc_vocab, dataset.page_vocab)
-    for access in trace[:7]:  # history=8: still cold
-        pf.update(access)
-        assert pf.prefetch(access, degree=2) == []
-    pf.update(trace[7])
-    assert len(pf.prefetch(trace[7], degree=2)) <= 2
-
-
 def test_neural_prefetcher_rollout_is_temporal(trained_neural):
     """Candidate list length grows with degree and is deterministic."""
     trace, model, dataset = trained_neural
@@ -283,10 +273,11 @@ def trained_stateful():
 
 def test_stateful_prefetcher_validation(trained_stateful):
     trace, model, dataset = trained_stateful
-    with pytest.raises(ValueError, match="inference"):
-        NeuralPrefetcher(
-            model, dataset.pc_vocab, dataset.page_vocab, inference="rnn"
-        )
+    for mode in ("window", "rnn"):  # stateful is the only mode
+        with pytest.raises(ValueError, match="inference"):
+            NeuralPrefetcher(
+                model, dataset.pc_vocab, dataset.page_vocab, inference=mode
+            )
     with pytest.raises(ValueError, match="seq_len"):
         NeuralPrefetcher(
             model,
@@ -307,12 +298,9 @@ def test_stateful_prefetcher_predicts_from_first_access(trained_stateful):
         inference="stateful",
         seq_len=32,
     )
+    assert pf.prefetch(trace[0], degree=2) == []  # nothing observed yet
     pf.update(trace[0])
     assert len(pf.prefetch(trace[0], degree=2)) <= 2
-    # a window prefetcher is still silent here (cold window)
-    cold = NeuralPrefetcher(model, dataset.pc_vocab, dataset.page_vocab)
-    cold.update(trace[0])
-    assert cold.prefetch(trace[0], degree=2) == []
 
 
 def test_stateful_streaming_and_offline_candidates_agree(trained_stateful):
@@ -347,19 +335,14 @@ def _stream(pf, trace, degree=4):
     return out
 
 
-@pytest.mark.parametrize("inference", ["window", "stateful"])
-def test_simulate_leaves_no_stale_state(trained_neural, inference):
+def test_simulate_leaves_no_stale_state(trained_neural):
     """Simulating one trace must not leak its candidates into a later
     stream over another trace."""
     trace, model, dataset = trained_neural
 
     def make():
         return NeuralPrefetcher(
-            model,
-            dataset.pc_vocab,
-            dataset.page_vocab,
-            inference=inference,
-            seq_len=32,
+            model, dataset.pc_vocab, dataset.page_vocab, seq_len=32
         )
 
     trace_a, trace_b = trace[:200], trace[13:]
@@ -368,19 +351,12 @@ def test_simulate_leaves_no_stale_state(trained_neural, inference):
     assert _stream(pf, trace_b) == _stream(make(), trace_b)
 
 
-@pytest.mark.parametrize("inference", ["window", "stateful"])
-def test_offline_candidates_mid_stream_keep_streaming_state(
-    trained_neural, inference
-):
+def test_offline_candidates_mid_stream_keep_streaming_state(trained_neural):
     trace, model, dataset = trained_neural
 
     def make():
         return NeuralPrefetcher(
-            model,
-            dataset.pc_vocab,
-            dataset.page_vocab,
-            inference=inference,
-            seq_len=32,
+            model, dataset.pc_vocab, dataset.page_vocab, seq_len=32
         )
 
     pf = make()
