@@ -60,7 +60,7 @@ runs, so the gain is apples to apples.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple, Union
 

@@ -48,7 +48,6 @@ identical metric values (wall-clock fields aside).
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import os
@@ -78,13 +77,11 @@ from voyager.train import build_sequence_dataset, train
 #: ``table_entries`` and ``table_hit_rate``), and an optional top-level
 #: ``distill`` section carries the table-size x context-depth
 #: latency/quality frontier written by ``--distill-frontier``.
-#: v5: profiles carry a ``train_mode`` (default ``sequence``:
-#: truncated-BPTT training + stateful inference; ``window`` keeps the
-#: legacy recipe); the config section gains
-#: ``train_mode``/``seq_len``/``tbptt``/``lr_schedule``/``batch_size``
-#: /``lr``; neural and table cells record ``train_mode`` and a
-#: ``train_phases`` breakdown; new ``--max-train-s`` training-time
-#: gate.
+#: v5: neural and table cells train with truncated BPTT, simulate
+#: statefully and record ``train_mode`` (always ``"sequence"``, the
+#: only recipe) and a ``train_phases`` breakdown; the config section
+#: gains ``train_mode``/``seq_len``/``tbptt``/``lr_schedule``/
+#: ``batch_size``/``lr``; new ``--max-train-s`` training-time gate.
 #: v6: the ``serving`` section gains an ``open_loop`` block (sharded
 #: pool: per-shard and aggregate req/s, arrival process parameters,
 #: open-loop p50/p95/p99 measured from scheduled arrival,
@@ -438,146 +435,76 @@ def strip_timing_fields(report: Dict[str, Any]) -> Dict[str, Any]:
     return out
 
 
-def _rounded_for_json(report: Dict[str, Any]) -> Dict[str, Any]:
-    """Copy of ``report`` with timing fields rounded for stable diffs.
+def _rounded_timing(report: Dict[str, Any]) -> Dict[str, Any]:
+    """Copy of ``report`` with every timing field rounded to 6 decimals.
 
-    Rounding happens *only* here, at serialisation time — the in-memory
-    report keeps full precision so gates like :func:`check_sim_budget`
-    never compare quantised values.
+    The timing fields are exactly the ones :func:`strip_timing_fields`
+    removes: :data:`REPORT_TIMING_FIELDS` at the top level (the whole
+    ``serving`` and ``distill`` sections included) and
+    :data:`CELL_TIMING_FIELDS` in each grid cell.  Every other field is
+    copied as is.
     """
-    out = dict(report)
-    for key in ("elapsed_s", "cpu_s"):
-        if isinstance(out.get(key), float):
-            out[key] = round(out[key], 3)
-    workloads = {}
-    for workload, entries in report.get("workloads", {}).items():
-        workloads[workload] = {}
-        for kind, entry in entries.items():
-            entry = dict(entry)
-            for key in ("train_s", "sim_s", "cpu_s"):
-                if isinstance(entry.get(key), float):
-                    entry[key] = round(entry[key], 3)
-            for phases_key in ("phases", "train_phases"):
-                if isinstance(entry.get(phases_key), dict):
-                    entry[phases_key] = round_floats(entry[phases_key])
-            if isinstance(entry.get("distill_s"), float):
-                entry["distill_s"] = round(entry["distill_s"], 3)
-            workloads[workload][kind] = entry
-    out["workloads"] = workloads
-    if isinstance(out.get("distill"), dict):
-        out["distill"] = _rounded_distill(out["distill"])
+    out = {
+        k: round_floats(v) if k in REPORT_TIMING_FIELDS else v
+        for k, v in report.items()
+    }
+    if isinstance(report.get("workloads"), dict):
+        out["workloads"] = {
+            workload: {
+                kind: {
+                    k: round_floats(v) if k in CELL_TIMING_FIELDS else v
+                    for k, v in entry.items()
+                }
+                for kind, entry in entries.items()
+            }
+            for workload, entries in report["workloads"].items()
+        }
     return out
-
-
-def _rounded_distill(distill: Dict[str, Any]) -> Dict[str, Any]:
-    """Round the ``distill`` section's timing fields for serialisation.
-
-    Simulated table traversals run in milliseconds, so their timings
-    keep 6 decimals (3 would quantise them to zero and wreck the
-    recorded speedups).
-    """
-    out = dict(distill)
-    if isinstance(out.get("elapsed_s"), float):
-        out["elapsed_s"] = round(out["elapsed_s"], 3)
-    workloads = {}
-    for workload, entry in distill.get("workloads", {}).items():
-        entry = dict(entry)
-        if isinstance(entry.get("neural"), dict):
-            neural = dict(entry["neural"])
-            for key in ("sim_s", "train_s"):
-                if isinstance(neural.get(key), float):
-                    neural[key] = round(neural[key], 6)
-            entry["neural"] = neural
-        if isinstance(entry.get("cells"), list):
-            cells = []
-            for cell in entry["cells"]:
-                cell = dict(cell)
-                for key in ("sim_s", "build_s"):
-                    if isinstance(cell.get(key), float):
-                        cell[key] = round(cell[key], 6)
-                if isinstance(cell.get("speedup_vs_neural"), float):
-                    cell["speedup_vs_neural"] = round(
-                        cell["speedup_vs_neural"], 2
-                    )
-                cells.append(cell)
-            entry["cells"] = cells
-        workloads[workload] = entry
-    out["workloads"] = workloads
-    return out
-
-
-def load_report(path: Union[str, Path]) -> Optional[Dict[str, Any]]:
-    """Read an existing report, or ``None`` if absent/unparseable.
-
-    Tolerant on purpose: a corrupt or foreign file must not block a
-    fresh sweep from overwriting it.
-    """
-    path = Path(path)
-    if not path.is_file():
-        return None
-    try:
-        loaded = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    return loaded if isinstance(loaded, dict) else None
-
-
-#: Sections that different writers of ``BENCH_voyager.json`` own: the
-#: grid sweep owns the top level, serve-bench owns ``serving``, the
-#: frontier sweep owns ``distill``.  Each writer carries the others'
-#: sections forward on rewrite.
-PRESERVED_SECTIONS = ("serving", "distill")
-
-
-def preserve_sections(
-    report: Dict[str, Any],
-    path: Union[str, Path],
-    sections: Sequence[str] = PRESERVED_SECTIONS,
-) -> Dict[str, Any]:
-    """Carry an existing file's named sections into ``report``.
-
-    The sweep, the serve-bench and the frontier sweep write the same
-    file but own disjoint sections; each preserves the others' on
-    rewrite (serve-bench does its mirror image in
-    :mod:`voyager.loadgen`).  Sections already present in ``report``
-    win — a fresh measurement always beats a stale one.
-    """
-    previous = load_report(path)
-    if previous is None:
-        return report
-    out = report
-    for section in sections:
-        if section in previous and section not in out:
-            if out is report:
-                out = dict(report)
-            out[section] = previous[section]
-    return out
-
-
-def preserve_serving(
-    report: Dict[str, Any], path: Union[str, Path]
-) -> Dict[str, Any]:
-    """Back-compat wrapper: preserve only the ``serving`` section."""
-    return preserve_sections(report, path, sections=("serving",))
 
 
 def write_bench(
-    report: Dict[str, Any], path: Union[str, Path] = BENCH_FILENAME
+    measured: Dict[str, Any], path: Union[str, Path] = BENCH_FILENAME
 ) -> Path:
-    """Write a report as stable, human-diffable JSON.  Returns the path.
+    """Overlay one command's measurement onto the report file.  Returns the path.
 
-    Timing fields are rounded (3 decimals; simulator phases 6) in the
-    serialised copy only; ``report`` itself is left untouched.  The
-    write is atomic (temp file + ``os.replace``), so a crashed or
-    interrupted run can never leave a truncated report for CI or the
-    serve-bench merge path to trip over.
+    The one writer of ``BENCH_voyager.json``.  ``bench`` (the grid,
+    plus ``distill`` with ``--distill-frontier``), ``serve-bench`` and
+    ``adapt --bench`` each measure disjoint parts of the file:
+    ``measured``'s top-level keys replace the file's, except
+    ``serving``, which merges key by key so the closed-loop,
+    ``open_loop`` and ``adaptation`` blocks each refresh only their
+    own part.  A missing, corrupt or non-object file is replaced by a
+    ``schema_version``/``benchmark`` skeleton.
+
+    Timing fields are rounded to 6 decimals in the serialised copy only
+    (``measured`` keeps full precision, so gates compare unrounded
+    values), and the write is atomic (temp file + ``os.replace``): an
+    interrupted run never leaves a truncated report behind.
     """
     path = Path(path)
+    try:
+        report = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        report = None
+    if not isinstance(report, dict):
+        report = {"benchmark": "voyager_prefetch_sim"}
+    serving = report.get("serving")
+    report.update(measured)
+    if "serving" in measured and isinstance(serving, dict):
+        report["serving"] = {**serving, **measured["serving"]}
+    report["schema_version"] = BENCH_SCHEMA_VERSION
     atomic_write_text(
         path,
-        json.dumps(_rounded_for_json(report), indent=2, sort_keys=True) + "\n",
+        json.dumps(_rounded_timing(report), indent=2, sort_keys=True) + "\n",
     )
     return path
+
+
+def report_problems(problems: Sequence[str], prefix: str = "") -> int:
+    """Print each problem as an ``error:`` line; 1 if there were any, else 0."""
+    for problem in problems:
+        print(f"error: {prefix}{problem}", file=sys.stderr)
+    return 1 if problems else 0
 
 
 def validate_report(report: Dict[str, Any]) -> List[str]:
@@ -621,7 +548,7 @@ def validate_report(report: Dict[str, Any]) -> List[str]:
                         f"{workload}/{kind}: missing timing {field_name}"
                     )
             if kind in ("neural", "table"):
-                if entry.get("train_mode") not in ("window", "sequence"):
+                if entry.get("train_mode") != "sequence":
                     problems.append(
                         f"{workload}/{kind}: missing/invalid train_mode"
                     )
@@ -1027,149 +954,3 @@ def _profile_by_name(name: str) -> BenchProfile:
             f"unknown profile {name!r}; expected one of {sorted(PROFILES)}"
         )
     return PROFILES[name]
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """``python -m voyager.bench`` — run a sweep with an optional timing gate."""
-    parser = argparse.ArgumentParser(
-        prog="voyager.bench",
-        description="Sweep workloads x prefetchers, write a bench report.",
-    )
-    parser.add_argument(
-        "--profile",
-        choices=tuple(sorted(PROFILES)),
-        default="smoke",
-        help="workload size / training budget (default: smoke)",
-    )
-    parser.add_argument("--out", default=BENCH_FILENAME)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--workloads",
-        default=None,
-        help="comma-separated registry workloads to sweep "
-        "(default: the whole registry)",
-    )
-    parser.add_argument(
-        "--jobs",
-        default="1",
-        help="parallel bench cells: an integer or 'auto' (cpu count)",
-    )
-    parser.add_argument(
-        "--profile-sim",
-        action="store_true",
-        help="record per-phase simulator timings in each cell",
-    )
-    parser.add_argument(
-        "--max-neural-sim-s",
-        type=float,
-        default=None,
-        help="fail (exit 1) if any workload's neural sim_s exceeds this",
-    )
-    parser.add_argument(
-        "--max-train-s",
-        type=float,
-        default=None,
-        help="fail (exit 1) if any workload's neural train_s exceeds this",
-    )
-    parser.add_argument(
-        "--distill-frontier",
-        action="store_true",
-        help="also sweep the table-size x depth frontier into 'distill'",
-    )
-    parser.add_argument(
-        "--distill-table-sizes",
-        default=",".join(str(s) for s in FRONTIER_TABLE_SIZES),
-        help="comma-separated table sizes for the frontier sweep",
-    )
-    parser.add_argument(
-        "--distill-depths",
-        default=",".join(str(d) for d in FRONTIER_DEPTHS),
-        help="comma-separated context depths for the frontier sweep",
-    )
-    parser.add_argument(
-        "--min-table-speedup",
-        type=float,
-        default=None,
-        help="fail (exit 1) if any workload's table sim speedup over "
-        "neural is below this factor",
-    )
-    parser.add_argument(
-        "--max-table-coverage-drop",
-        type=float,
-        default=None,
-        help="fail (exit 1) if any workload's table coverage trails "
-        "neural by more than this (in coverage points, e.g. 0.10)",
-    )
-    args = parser.parse_args(argv)
-
-    try:
-        profile = profile_with_workloads(
-            _profile_by_name(args.profile), args.workloads
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    report = run_bench(
-        profile,
-        seed=args.seed,
-        jobs=args.jobs,
-        profile_sim=args.profile_sim,
-    )
-    if args.distill_frontier:
-        report["distill"] = run_distill_frontier(
-            profile,
-            seed=args.seed,
-            table_sizes=parse_int_list(
-                args.distill_table_sizes, "--distill-table-sizes"
-            ),
-            depths=parse_int_list(args.distill_depths, "--distill-depths"),
-        )
-    problems = validate_report(report)
-    if args.max_neural_sim_s is not None:
-        problems += check_sim_budget(report, args.max_neural_sim_s)
-    if args.max_train_s is not None:
-        problems += check_train_budget(report, args.max_train_s)
-    if args.min_table_speedup is not None or args.max_table_coverage_drop is not None:
-        problems += check_distill_budget(
-            report,
-            min_speedup=args.min_table_speedup or 0.0,
-            max_coverage_drop=(
-                args.max_table_coverage_drop
-                if args.max_table_coverage_drop is not None
-                else float("inf")
-            ),
-        )
-    report = preserve_sections(report, args.out)
-    path = write_bench(report, args.out)
-    for workload, entries in report["workloads"].items():
-        for kind, entry in entries.items():
-            print(
-                f"{workload:12s} {kind:10s} "
-                f"coverage={entry['coverage']:.4f} "
-                f"accuracy={entry['accuracy']:.4f} "
-                f"train_s={entry['train_s']:.3f} "
-                f"sim_s={entry['sim_s']:.3f}"
-            )
-    if args.distill_frontier:
-        for workload, entry in report["distill"]["workloads"].items():
-            for cell in entry["cells"]:
-                print(
-                    f"{workload:12s} table[size={cell['table_size']:5d} "
-                    f"depth={cell['depth']}] "
-                    f"coverage_delta={cell['coverage_delta']:+.4f} "
-                    f"speedup={cell['speedup_vs_neural']:.1f}x "
-                    f"hit_rate={cell['hit_rate']:.3f}"
-                )
-    print(
-        f"wrote {path} (profile={report['profile']}, jobs={report['jobs']}, "
-        f"cpu={report['cpu_s']:.3f}s, wall={report['elapsed_s']:.3f}s)"
-    )
-    if problems:
-        for problem in problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CI
-    raise SystemExit(main())

@@ -24,7 +24,7 @@ Subcommands:
   --out tables.json``
 - ``bench`` — sweep synthetic workloads x prefetchers and write a
   schema-versioned ``BENCH_voyager.json``:
-  ``python -m voyager bench --smoke``
+  ``python -m voyager bench --profile smoke``
 - ``serve`` — serve a trace as interleaved streams through the online
   serving layer (micro-batched), printing throughput and latency:
   ``python -m voyager serve --trace trace.txt --checkpoint ckpt/model``.
@@ -80,15 +80,17 @@ from voyager.bench import (
     FRONTIER_DEPTHS,
     FRONTIER_TABLE_SIZES,
     PROFILES,
-    parse_int_list,
     check_distill_budget,
     check_sim_budget,
     check_train_budget,
-    preserve_sections,
+    parse_int_list,
     profile_with_workloads,
+    report_problems,
+    resolve_jobs,
     run_bench,
     run_distill_frontier,
     validate_report,
+    validate_serving,
     write_bench,
 )
 from voyager.distill import (
@@ -101,12 +103,7 @@ from voyager.distill import (
 from voyager.eval import evaluate, simulate_model
 from voyager.ingest import ON_ERROR_POLICIES, IngestFormat, read_trace
 from voyager.labeling import LabelConfig
-from voyager.loadgen import (
-    add_serve_bench_args,
-    attach_serving,
-    run_serve_bench,
-    serve_trace,
-)
+from voyager.loadgen import add_serve_bench_args, run_serve_bench, serve_trace
 from voyager.model import (
     HierarchicalModel,
     ModelConfig,
@@ -333,11 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench", help="sweep workloads x prefetchers, write BENCH_voyager.json"
-    )
-    bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="shorthand for --profile smoke",
     )
     bench.add_argument(
         "--profile",
@@ -769,21 +761,47 @@ def run_distill(args: argparse.Namespace) -> int:
 
 
 def run_bench_cmd(args: argparse.Namespace) -> int:
-    profile = PROFILES["smoke" if args.smoke else args.profile]
-    profile = profile_with_workloads(profile, args.workloads)
+    profile = profile_with_workloads(PROFILES[args.profile], args.workloads)
+    jobs = resolve_jobs(args.jobs)
+    table_sizes = parse_int_list(
+        args.distill_table_sizes, "--distill-table-sizes"
+    )
+    depths = parse_int_list(args.distill_depths, "--distill-depths")
     report = run_bench(
-        profile, seed=args.seed, jobs=args.jobs, profile_sim=args.profile_sim
+        profile, seed=args.seed, jobs=jobs, profile_sim=args.profile_sim
     )
     if args.distill_frontier:
         report["distill"] = run_distill_frontier(
-            profile,
-            seed=args.seed,
-            table_sizes=parse_int_list(
-                args.distill_table_sizes, "--distill-table-sizes"
-            ),
-            depths=parse_int_list(args.distill_depths, "--distill-depths"),
+            profile, seed=args.seed, table_sizes=table_sizes, depths=depths
         )
-    problems = validate_report(report)
+    if report_problems(validate_report(report), "invalid bench report: "):
+        return 1
+    path = write_bench(report, args.out)
+    for workload, entries in report["workloads"].items():
+        for kind, entry in entries.items():
+            print(
+                f"{workload:12s} {kind:10s} "
+                f"coverage={entry['coverage']:.4f} "
+                f"accuracy={entry['accuracy']:.4f} "
+                f"timeliness={entry['timeliness']:.4f} "
+                f"miss_rate={entry['miss_rate']:.4f} "
+                f"sim_s={entry['sim_s']:.3f}"
+            )
+    if args.distill_frontier:
+        for workload, entry in report["distill"]["workloads"].items():
+            for cell in entry["cells"]:
+                print(
+                    f"{workload:12s} table[size={cell['table_size']:5d} "
+                    f"depth={cell['depth']}] "
+                    f"coverage_delta={cell['coverage_delta']:+.4f} "
+                    f"speedup={cell['speedup_vs_neural']:.1f}x "
+                    f"hit_rate={cell['hit_rate']:.3f}"
+                )
+    print(
+        f"wrote {path} (profile={profile.name}, jobs={report['jobs']}, "
+        f"cpu={report['cpu_s']:.3f}s, wall={report['elapsed_s']:.3f}s)"
+    )
+    problems: List[str] = []
     if args.max_neural_sim_s is not None:
         problems += check_sim_budget(report, args.max_neural_sim_s)
     if args.max_train_s is not None:
@@ -798,27 +816,7 @@ def run_bench_cmd(args: argparse.Namespace) -> int:
                 else float("inf")
             ),
         )
-    if problems:
-        for problem in problems:
-            print(f"error: invalid bench report: {problem}", file=sys.stderr)
-        return 1
-    report = preserve_sections(report, args.out)
-    path = write_bench(report, args.out)
-    for workload, entries in report["workloads"].items():
-        for kind, entry in entries.items():
-            print(
-                f"{workload:12s} {kind:10s} "
-                f"coverage={entry['coverage']:.4f} "
-                f"accuracy={entry['accuracy']:.4f} "
-                f"timeliness={entry['timeliness']:.4f} "
-                f"miss_rate={entry['miss_rate']:.4f} "
-                f"sim_s={entry['sim_s']:.3f}"
-            )
-    print(
-        f"wrote {path} (profile={profile.name}, jobs={report['jobs']}, "
-        f"cpu={report['cpu_s']:.3f}s, wall={report['elapsed_s']:.3f}s)"
-    )
-    return 0
+    return report_problems(problems)
 
 
 def run_serve(args: argparse.Namespace) -> int:
@@ -958,12 +956,11 @@ def _run_adapt_bench(args: argparse.Namespace) -> int:
         replay_mix=args.replay_mix,
     )
     block = run_adaptation_bench(config, workdir=args.workdir)
-    problems = check_adaptation_budget(
-        block,
-        min_gain=args.min_adapted_coverage_gain,
-        max_lag=args.max_adapt_lag,
-    )
-    path, _ = attach_serving({"adaptation": block}, args.out)
+    if report_problems(
+        validate_serving({"adaptation": block}), "invalid serving report: "
+    ):
+        return 1
+    path = write_bench({"serving": {"adaptation": block}}, args.out)
     for name, run in block["workloads"].items():
         print(
             f"{name:14s} frozen={run['frozen_coverage']:.4f} "
@@ -973,11 +970,14 @@ def _run_adapt_bench(args: argparse.Namespace) -> int:
             f"rounds={run['rounds']} swaps={run['swaps']}"
         )
     print(f"wrote {path}")
-    if problems:
-        for problem in problems:
-            print(f"error: adaptation gate: {problem}", file=sys.stderr)
-        return 1
-    return 0
+    return report_problems(
+        check_adaptation_budget(
+            block,
+            min_gain=args.min_adapted_coverage_gain,
+            max_lag=args.max_adapt_lag,
+        ),
+        "adaptation gate: ",
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -1,10 +1,10 @@
 """Atomic file-write helpers shared by checkpoints and bench reports.
 
-Also home to :func:`round_floats`, the one shared float-rounding
-policy for serialised timing/throughput numbers: every writer of
-``BENCH_voyager.json`` (the sweep, serve-bench, the frontier sweep)
-rounds through it so the precision of recorded measurements is decided
-in exactly one place.
+Also home to :func:`round_floats`, the one float-rounding policy for
+serialised timing/throughput numbers: :func:`voyager.bench.write_bench`,
+the one writer of ``BENCH_voyager.json``, rounds every timing field
+through it, so the precision of recorded measurements is decided in
+exactly one place.
 
 A bench or training run killed mid-write must never leave a truncated
 ``BENCH_voyager.json`` or a half-written ``.npz``/vocab JSON pair on

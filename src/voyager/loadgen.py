@@ -25,16 +25,15 @@ divergence would fail the CI gate, not just slip a throughput number.
 
 Throughput fields are wall-clock measurements and therefore live with
 the other timing fields: :func:`voyager.bench.strip_timing_fields`
-removes the whole section, and a fresh sweep preserves it on rewrite
-(:func:`voyager.bench.preserve_sections`) just as ``serve-bench``
-preserves the sweep's cells.
+removes the whole section.  Both modes merge their half of the section
+into the report through :func:`voyager.bench.write_bench`, which keeps
+the sweep's cells and the other half.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import sys
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -45,19 +44,17 @@ import numpy as np
 from voyager import synthetic
 from voyager.bench import (
     BENCH_FILENAME,
-    BENCH_SCHEMA_VERSION,
     BenchProfile,
     SMOKE_PROFILE,
     _profile_by_name,
     _train_neural,
     derive_cell_seed,
-    load_report,
     profile_with_workloads,
+    report_problems,
     validate_serving,
     write_bench,
 )
 from voyager.infer import InferenceEngine
-from voyager.ioutil import round_floats
 from voyager.model import HierarchicalModel
 from voyager.serve import (
     DEFAULT_QOS,
@@ -386,8 +383,8 @@ def run_loadgen(
 ) -> Dict[str, Any]:
     """Train once, drive both paths, return the ``serving`` section.
 
-    All values are full precision; :func:`attach_serving` rounds at
-    serialisation time, mirroring the sweep's timing-field policy.
+    All values are full precision; :func:`~voyager.bench.write_bench`
+    rounds them at serialisation time.
     """
     config = config or LoadGenConfig()
     started = time.perf_counter()
@@ -525,7 +522,7 @@ def run_open_loop_bench(
     load; the defaults are shed-free and eviction-free so the bitwise
     equality check is meaningful.  Returns the ``open_loop`` block for
     the report's serving section, full precision (rounding happens in
-    :func:`attach_serving`).
+    :func:`~voyager.bench.write_bench`).
     """
     config = config or LoadGenConfig()
     arrival = arrival or ArrivalConfig()
@@ -616,34 +613,6 @@ def run_open_loop_bench(
             dtype,
         )
     return section
-
-
-def attach_serving(
-    serving: Dict[str, Any], path=BENCH_FILENAME
-) -> Tuple[Any, Dict[str, Any]]:
-    """Merge a serving section into the bench report file (atomic).
-
-    Preserves an existing sweep's cells *and* merges key-wise into any
-    existing serving section, so the closed-loop run and the open-loop
-    run (which contribute disjoint keys) can each refresh their half
-    without clobbering the other.  Floats round through the shared
-    :func:`~voyager.ioutil.round_floats` policy at this serialisation
-    boundary only.  Creates a minimal skeleton when no report exists
-    yet (the serve CI jobs run standalone).  Returns ``(written path,
-    written report)``.
-    """
-    report = load_report(path)
-    if report is None:
-        report = {
-            "schema_version": BENCH_SCHEMA_VERSION,
-            "benchmark": "voyager_prefetch_sim",
-        }
-    report["schema_version"] = BENCH_SCHEMA_VERSION
-    existing = report.get("serving")
-    merged = dict(existing) if isinstance(existing, dict) else {}
-    merged.update(round_floats(serving))
-    report["serving"] = merged
-    return write_bench(report, path), report
 
 
 def serve_trace(
@@ -861,7 +830,12 @@ def _run_open_loop_cli(
         spill_dir=args.spill_dir,
         overload=args.overload,
     )
-    problems = validate_serving({"open_loop": section})
+    if report_problems(
+        validate_serving({"open_loop": section}), "invalid serving report: "
+    ):
+        return 1
+    path = write_bench({"serving": {"open_loop": section}}, args.out)
+    problems: List[str] = []
     gated = next(
         run for run in section["runs"] if run["shards"] == args.shards
     )
@@ -894,7 +868,6 @@ def _run_open_loop_cli(
             f"scaling_vs_single={gated['scaling_vs_single']:.2f}x below "
             f"--min-shard-scaling {args.min_shard_scaling}"
         )
-    path, _ = attach_serving({"open_loop": section}, args.out)
     print(
         f"open-loop {arrival.process} rate={arrival.rate:.0f}/s "
         f"streams={section['streams']} requests={section['requests']} "
@@ -917,11 +890,7 @@ def _run_open_loop_cli(
     if "overload" in section:
         print(f"overload shed_by_class={section['overload']['shed_by_class']}")
     print(f"wrote serving section to {path}")
-    if problems:
-        for problem in problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return 1
-    return 0
+    return report_problems(problems)
 
 
 def run_serve_bench(args: argparse.Namespace) -> int:
@@ -943,7 +912,10 @@ def run_serve_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
         dtype=np.float32 if args.dtype == "float32" else np.float64,
     )
-    problems = validate_serving(serving)
+    if report_problems(validate_serving(serving), "invalid serving report: "):
+        return 1
+    path = write_bench({"serving": serving}, args.out)
+    problems: List[str] = []
     if args.min_speedup is not None and (
         serving["speedup_vs_serial"] < args.min_speedup
     ):
@@ -958,7 +930,6 @@ def run_serve_bench(args: argparse.Namespace) -> int:
             f"throughput={serving['throughput_accesses_per_s']:.1f}/s below "
             f"--min-throughput {args.min_throughput}"
         )
-    path, _ = attach_serving(serving, args.out)
     latency = serving["stats"]["latency"]
     print(
         f"streams={serving['streams']} total={serving['total_accesses']} "
@@ -973,25 +944,7 @@ def run_serve_bench(args: argparse.Namespace) -> int:
         f"shed={serving['stats']['shed']} ticks={serving['stats']['ticks']}"
     )
     print(f"wrote serving section to {path}")
-    if problems:
-        for problem in problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """``python -m voyager.loadgen`` / ``python -m voyager serve-bench``."""
-    parser = argparse.ArgumentParser(
-        prog="voyager.loadgen",
-        description="Benchmark the online serving layer under multi-stream load.",
-    )
-    add_serve_bench_args(parser)
-    try:
-        return run_serve_bench(parser.parse_args(argv))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return report_problems(problems)
 
 
 __all__ = [
@@ -1000,7 +953,6 @@ __all__ = [
     "LoadGenConfig",
     "OpenLoopSchedule",
     "add_serve_bench_args",
-    "attach_serving",
     "mixed_training_trace",
     "open_loop_schedule",
     "parse_qos_mix",
@@ -1011,6 +963,3 @@ __all__ = [
     "stream_traces",
 ]
 
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CI
-    raise SystemExit(main())

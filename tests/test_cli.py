@@ -5,7 +5,7 @@ import json
 import pytest
 
 from voyager import cli as cli_mod
-from voyager.bench import BENCH_SCHEMA_VERSION, validate_report
+from voyager.bench import BENCH_SCHEMA_VERSION, BenchProfile, validate_report
 from voyager.cli import main
 from voyager.distill import DistillConfig, DistilledTable, build_table, depth_chain
 from voyager.eval import simulate_model
@@ -309,31 +309,58 @@ def test_simulate_none_reproduces_baseline_miss_rate(stride_trace_file, capsys):
 # ----------------------------------------------------------------------
 # bench
 # ----------------------------------------------------------------------
-def test_bench_cmd_tiny_profile(tmp_path, capsys, monkeypatch):
-    """Fast-tier bench coverage: shrink the smoke profile, same code path."""
-    from voyager.bench import BenchProfile
+#: Fast-tier bench coverage: shrink the smoke profile, same code path.
+TINY_BENCH = BenchProfile(
+    name="tiny",
+    trace_length=200,
+    train_steps=5,
+    embed_dim=8,
+    hidden_dim=16,
+    workloads=("stride", "page_cycle"),
+)
 
-    tiny = BenchProfile(
-        name="tiny",
-        trace_length=200,
-        train_steps=5,
-        embed_dim=8,
-        hidden_dim=16,
-        workloads=("stride", "page_cycle"),
-    )
-    monkeypatch.setitem(cli_mod.PROFILES, "smoke", tiny)
+
+def test_bench_cmd_tiny_profile(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli_mod.PROFILES, "smoke", TINY_BENCH)
     out_path = tmp_path / "BENCH_voyager.json"
-    rc = main(["bench", "--smoke", "--out", str(out_path)])
+    rc = main(["bench", "--profile", "smoke", "--out", str(out_path)])
     assert rc == 0
     report = json.loads(out_path.read_text())
     assert validate_report(report) == []
     assert "wrote" in capsys.readouterr().out
 
 
+def test_bench_cmd_gates_after_writing(tmp_path, capsys, monkeypatch):
+    """A passing gate writes a valid report; a failing one writes, then exits 1."""
+    monkeypatch.setitem(cli_mod.PROFILES, "smoke", TINY_BENCH)
+    out = tmp_path / "BENCH_voyager.json"
+    base = ["bench", "--profile", "smoke", "--out", str(out)]
+    assert main(base + ["--max-neural-sim-s", "1e9"]) == 0
+    assert validate_report(json.loads(out.read_text())) == []
+    assert "wrote" in capsys.readouterr().out
+
+    out.unlink()
+    assert main(base + ["--max-neural-sim-s", "-1"]) == 1
+    assert "exceeds budget" in capsys.readouterr().err
+    assert validate_report(json.loads(out.read_text())) == []
+
+
+def test_bench_invalid_report_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli_mod, "run_bench", lambda *a, **k: {"schema_version": 0}
+    )
+    out = tmp_path / "BENCH_voyager.json"
+    out.write_text('{"serving": {"streams": 4}}\n')
+    before = out.read_bytes()
+    assert main(["bench", "--profile", "smoke", "--out", str(out)]) == 1
+    assert "error: invalid bench report" in capsys.readouterr().err
+    assert out.read_bytes() == before
+
+
 @pytest.mark.slow
 def test_bench_smoke_writes_valid_report(tmp_path, capsys):
     out_path = tmp_path / "BENCH_voyager.json"
-    rc = main(["bench", "--smoke", "--out", str(out_path)])
+    rc = main(["bench", "--profile", "smoke", "--out", str(out_path)])
     assert rc == 0
     report = json.loads(out_path.read_text())
     assert report["schema_version"] == BENCH_SCHEMA_VERSION
@@ -455,18 +482,61 @@ def test_unknown_prefetcher_is_usage_error(stride_trace_file, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
-def test_bench_jobs_zero_is_clean_error(capsys):
-    rc = main(["bench", "--smoke", "--jobs", "0"])
+def test_adapt_bench_invalid_block_writes_nothing(tmp_path, capsys, monkeypatch):
+    """``adapt --bench`` shape-checks its block before merging it."""
+    run = {
+        "frozen_coverage": 0.1,
+        "adapted_coverage": 0.2,
+        "rounds": 1,
+        "swaps": 1,
+        "model_version": 1,
+        "max_lag_accesses": 3,
+        "boundaries": [0, 100],
+        "phases": [],
+    }  # no mean_gain
+    monkeypatch.setattr(
+        cli_mod,
+        "run_adaptation_bench",
+        lambda *a, **k: {"config": {}, "workloads": {"multi_phase": run}},
+    )
+    out = tmp_path / "BENCH_voyager.json"
+    out.write_text('{"serving": {"streams": 4}}\n')
+    before = out.read_bytes()
+    rc = main(
+        [
+            "adapt",
+            "--bench",
+            "--out",
+            str(out),
+            "--workdir",
+            str(tmp_path / "work"),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "mean_gain" in err
+    assert out.read_bytes() == before
+
+
+def no_run_bench(*args, **kwargs):
+    raise AssertionError("flags must be checked before the sweep runs")
+
+
+def test_bench_jobs_zero_is_clean_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli_mod, "run_bench", no_run_bench)
+    rc = main(["bench", "--profile", "smoke", "--jobs", "0"])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "jobs" in err
 
 
-def test_bench_bad_distill_sizes_is_clean_error(capsys):
+def test_bench_bad_distill_sizes_is_clean_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli_mod, "run_bench", no_run_bench)
     rc = main(
         [
             "bench",
-            "--smoke",
+            "--profile",
+            "smoke",
             "--distill-frontier",
             "--distill-table-sizes",
             "16,zero",

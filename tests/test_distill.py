@@ -23,9 +23,9 @@ from voyager.bench import (
     bench_cell,
     check_distill_budget,
     parse_int_list,
-    preserve_sections,
     run_distill_frontier,
     validate_distill,
+    write_bench,
 )
 from voyager.distill import (
     FALLBACKS,
@@ -529,12 +529,16 @@ def test_preserve_sections_carries_serving_and_distill(tmp_path):
         json.dumps({"serving": {"streams": 4}, "distill": {"workloads": {}}}),
         encoding="utf-8",
     )
-    merged = preserve_sections({"schema_version": 4}, path)
+    write_bench({"workloads": {"stride": {}}}, path)
+    merged = json.loads(path.read_text(encoding="utf-8"))
+    assert merged["workloads"] == {"stride": {}}
     assert merged["serving"] == {"streams": 4}
     assert merged["distill"] == {"workloads": {}}
     # fresh sections win over stale ones
-    fresh = preserve_sections({"distill": {"new": True}}, path)
+    write_bench({"distill": {"new": True}}, path)
+    fresh = json.loads(path.read_text(encoding="utf-8"))
     assert fresh["distill"] == {"new": True}
+    assert fresh["serving"] == {"streams": 4}
 
 
 def test_parse_int_list():

@@ -7,19 +7,18 @@ import pytest
 
 from voyager.bench import (
     BENCH_SCHEMA_VERSION,
+    PROFILES,
     BenchProfile,
-    load_report,
-    preserve_serving,
     run_bench,
     strip_timing_fields,
     validate_report,
     validate_serving,
     write_bench,
 )
+from voyager.cli import main
 from voyager.loadgen import (
     ArrivalConfig,
     LoadGenConfig,
-    attach_serving,
     mixed_training_trace,
     open_loop_schedule,
     parse_qos_mix,
@@ -114,7 +113,7 @@ def test_validate_serving_flags_problems(serving):
 
 def test_attach_serving_creates_skeleton(serving, tmp_path):
     out = tmp_path / "BENCH_voyager.json"
-    path, report = attach_serving(serving, out)
+    path = write_bench({"serving": serving}, out)
     assert path == out
     loaded = json.loads(out.read_text())
     assert loaded["schema_version"] == BENCH_SCHEMA_VERSION
@@ -128,22 +127,22 @@ def test_attach_serving_preserves_existing_sweep(serving, tmp_path):
     out = tmp_path / "BENCH_voyager.json"
     report = run_bench(TINY, seed=0)
     write_bench(report, out)
-    attach_serving(serving, out)
-    merged = load_report(out)
+    write_bench({"serving": serving}, out)
+    merged = json.loads(out.read_text())
     assert validate_report(merged) == []
     assert set(merged["workloads"]) == {"stride", "page_cycle"}
     assert merged["serving"]["streams"] == 3
     # ...and a fresh sweep write preserves the serving section back
-    rewritten = preserve_serving(run_bench(TINY, seed=0), out)
-    write_bench(rewritten, out)
-    assert load_report(out)["serving"]["streams"] == 3
+    write_bench(report, out)
+    assert json.loads(out.read_text())["serving"]["streams"] == 3
 
 
 def test_serving_is_a_timing_section(serving, tmp_path):
     out = tmp_path / "BENCH_voyager.json"
     report = run_bench(TINY, seed=0)
     write_bench(report, out)
-    _, merged = attach_serving(serving, out)
+    write_bench({"serving": serving}, out)
+    merged = json.loads(out.read_text())
     assert "serving" not in strip_timing_fields(merged)
     assert strip_timing_fields(merged) == strip_timing_fields(report)
 
@@ -168,13 +167,11 @@ def test_serve_trace_round_robin():
 
 
 def test_main_entry_point_runs_and_gates(tmp_path, capsys, monkeypatch):
-    import voyager.bench as bench_mod
-    import voyager.loadgen as loadgen_mod
-
-    monkeypatch.setattr(bench_mod, "SMOKE_PROFILE", TINY)
+    monkeypatch.setitem(PROFILES, "smoke", TINY)
     out = tmp_path / "BENCH_voyager.json"
-    rc = loadgen_mod.main(
+    rc = main(
         [
+            "serve-bench",
             "--profile",
             "smoke",
             "--streams",
@@ -193,8 +190,10 @@ def test_main_entry_point_runs_and_gates(tmp_path, capsys, monkeypatch):
     loaded = json.loads(out.read_text())
     assert validate_serving(loaded["serving"]) == []
 
-    rc = loadgen_mod.main(
+    out.unlink()
+    rc = main(
         [
+            "serve-bench",
             "--profile",
             "smoke",
             "--streams",
@@ -213,6 +212,8 @@ def test_main_entry_point_runs_and_gates(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "below --min-speedup" in err
     assert "below --min-throughput" in err
+    # a failed gate still writes the measured section first
+    assert validate_serving(json.loads(out.read_text())["serving"]) == []
 
 
 def test_float32_run_also_matches_serial():
@@ -342,9 +343,9 @@ def test_attach_serving_merges_open_loop_and_closed_loop(
     serving, open_loop_section, tmp_path
 ):
     out = tmp_path / "BENCH_voyager.json"
-    attach_serving(serving, out)
-    attach_serving({"open_loop": open_loop_section}, out)
-    merged = load_report(out)["serving"]
+    write_bench({"serving": serving}, out)
+    write_bench({"serving": {"open_loop": open_loop_section}}, out)
+    merged = json.loads(out.read_text())["serving"]
     # both halves coexist: the open-loop attach kept the closed-loop keys
     assert merged["streams"] == 3
     assert merged["speedup_vs_serial"] > 0
@@ -358,17 +359,14 @@ def test_attach_serving_merges_open_loop_and_closed_loop(
 def test_open_loop_cli_runs_gates_and_fails_cleanly(
     tmp_path, capsys, monkeypatch
 ):
-    import voyager.bench as bench_mod
-    import voyager.loadgen as loadgen_mod
-
-    monkeypatch.setattr(bench_mod, "SMOKE_PROFILE", TINY)
+    monkeypatch.setitem(PROFILES, "smoke", TINY)
     out = tmp_path / "BENCH_voyager.json"
     base = [
-        "--profile", "smoke", "--open-loop",
+        "serve-bench", "--profile", "smoke", "--open-loop",
         "--shards", "2", "--streams", "4", "--accesses", "25",
         "--rate", "20000", "--out", str(out),
     ]
-    rc = loadgen_mod.main(base + ["--max-p99-ms", "1e9"])
+    rc = main(base + ["--max-p99-ms", "1e9"])
     assert rc == 0
     captured = capsys.readouterr()
     assert "shards=2" in captured.out
@@ -377,7 +375,7 @@ def test_open_loop_cli_runs_gates_and_fails_cleanly(
     assert validate_serving(loaded["serving"]) == []
     assert loaded["serving"]["open_loop"]["runs"][-1]["shards"] == 2
 
-    rc = loadgen_mod.main(
+    rc = main(
         base + ["--max-p99-ms", "1e-9", "--min-throughput", "1e18"]
     )
     assert rc == 1
@@ -386,6 +384,6 @@ def test_open_loop_cli_runs_gates_and_fails_cleanly(
     assert "below --min-throughput" in err
 
     # config errors exit 1 with a clean message, not a traceback
-    rc = loadgen_mod.main(base + ["--qos-mix", "platinum=1"])
+    rc = main(base + ["--qos-mix", "platinum=1"])
     assert rc == 1
     assert "qos class" in capsys.readouterr().err

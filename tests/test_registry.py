@@ -20,7 +20,7 @@ from voyager.bench import (
     validate_report,
 )
 from voyager.cli import main
-from voyager.loadgen import LoadGenConfig, main as loadgen_main, stream_traces
+from voyager.loadgen import LoadGenConfig, stream_traces
 
 
 # ----------------------------------------------------------------------
@@ -105,7 +105,8 @@ def test_bench_cli_workloads_subset(tmp_path, capsys, monkeypatch):
     rc = main(
         [
             "bench",
-            "--smoke",
+            "--profile",
+            "smoke",
             "--out",
             str(out),
             "--workloads",
@@ -118,7 +119,7 @@ def test_bench_cli_workloads_subset(tmp_path, capsys, monkeypatch):
 
 
 def test_bench_cli_unknown_workload_exits_cleanly(capsys):
-    rc = main(["bench", "--smoke", "--workloads", "zigzag"])
+    rc = main(["bench", "--profile", "smoke", "--workloads", "zigzag"])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "unknown workload" in err
@@ -198,9 +199,3 @@ def test_serve_bench_unknown_workload_exits_cleanly(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "unknown workload" in err
 
-
-def test_loadgen_main_unknown_workload_exits_cleanly(capsys):
-    rc = loadgen_main(["--workloads", "zigzag"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "unknown workload" in err
